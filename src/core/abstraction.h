@@ -19,6 +19,7 @@
 // linear interpolation instead of exp/log evaluations.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <utility>
@@ -114,6 +115,23 @@ double eesm_effective_snr_for_tdl_db(const channel::Tdl& tdl,
 double ht_eesm_effective_snr_for_tdl_db(const channel::Tdl& tdl,
                                         double mean_snr_db, double beta);
 
+/// Clamped linear interpolation of PER samples `per` (non-empty) on a
+/// uniform dB grid starting at `min_db` with spacing 1 / `inv_step` —
+/// the lookup every precomputed PER table shares. Infinite SNRs clamp
+/// to the grid ends; a NaN SNR would slip past both clamps into an
+/// out-of-range index, so it is rejected with ContractError.
+inline double interpolate_per(std::span<const double> per, double min_db,
+                              double inv_step, double snr_db) {
+  check(!std::isnan(snr_db), "PER lookup at a NaN SNR");
+  const double pos = (snr_db - min_db) * inv_step;
+  if (pos <= 0.0) return per.front();
+  const double last = static_cast<double>(per.size() - 1);
+  if (pos >= last) return per.back();
+  const auto i = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(i);
+  return per[i] + frac * (per[i + 1] - per[i]);
+}
+
 /// Precomputed PER-vs-SNR curve on a uniform dB grid with clamped linear
 /// interpolation — the hot-path representation of any of the curves
 /// above (or of an EESM-composed curve for a frozen fading realization).
@@ -146,15 +164,10 @@ class PerTable {
   std::size_t size() const { return per_.size(); }
 
   /// PER at `snr_db`: linear interpolation, clamped to the grid ends.
+  /// A NaN SNR throws ContractError (see `interpolate_per`).
   double lookup(double snr_db) const {
     check(!per_.empty(), "PerTable::lookup on an empty table");
-    const double pos = (snr_db - min_db_) * inv_step_;
-    if (pos <= 0.0) return per_.front();
-    const double last = static_cast<double>(per_.size() - 1);
-    if (pos >= last) return per_.back();
-    const auto i = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    return per_[i] + frac * (per_[i + 1] - per_[i]);
+    return interpolate_per(per_, min_db_, inv_step_, snr_db);
   }
 
  private:

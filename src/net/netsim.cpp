@@ -120,6 +120,74 @@ void subtract_clamped(double& sum_w, double term_w, double peak_w,
   }
 }
 
+/// Data-rate ladder: one fixed rate, or the eight OFDM rates for ARF.
+std::vector<double> data_rate_ladder(const NetworkConfig& config) {
+  if (config.rate_control != RateControlMode::kArf)
+    return {config.data_rate_mbps};
+  check(config.error_model.model == RxModel::kPerModel,
+        "ARF rate control requires the PER error model");
+  check(config.generation == mac::PhyGeneration::kOfdm,
+        "ARF rate control is implemented for the OFDM generation");
+  std::vector<double> rates;
+  for (std::size_t i = 0; i < 8; ++i) {
+    rates.push_back(
+        phy::ofdm_mcs_info(static_cast<phy::OfdmMcs>(i)).data_rate_mbps);
+  }
+  return rates;
+}
+
+/// Point and trial of the PER-table pool root under a sharded call's
+/// root draw. The component sweep seeds shard s from (s, 0) and border
+/// streams use points 1..4 (plus (s, 0) per tile); trial 1 of point 6
+/// is neither.
+constexpr std::uint64_t kPerPoolPoint = 6;
+constexpr std::uint64_t kPerPoolTrial = 1;
+
+std::uint64_t per_pool_root(std::uint64_t call_root) {
+  return par::derive_seed(call_root, kPerPoolPoint, kPerPoolTrial);
+}
+
+/// The call's shared PER-table pool (empty under threshold reception,
+/// which must not pay for it). Keys follow the order Engine indexes
+/// them: the data-rate ladder, then ACK/CTS, then RTS when the exchange
+/// is enabled. Control frames ride the basic rate; an HT network still
+/// sends them as legacy OFDM.
+std::optional<PerTablePool> make_per_pool(const NetworkConfig& config,
+                                          std::size_t n_flows,
+                                          std::uint64_t root,
+                                          par::ThreadPool* pool) {
+  if (config.error_model.model != RxModel::kPerModel) return std::nullopt;
+  const obs::perf::ScopedSpan span("net.per_pool");
+  const std::size_t data_mpdu =
+      mac::mpdu_size_bytes(mac::FrameType::kData, config.payload_bytes);
+  const mac::PhyGeneration ctrl_gen =
+      config.generation == mac::PhyGeneration::kHt ? mac::PhyGeneration::kOfdm
+                                                   : config.generation;
+  std::vector<PerKey> keys;
+  for (const double rate : data_rate_ladder(config))
+    keys.push_back({config.generation, rate, data_mpdu});
+  keys.push_back({ctrl_gen, config.basic_rate_mbps, mac::kAckBytes});
+  if (config.rts_cts)
+    keys.push_back({ctrl_gen, config.basic_rate_mbps, mac::kRtsBytes});
+  PerTablePool per_pool(keys, config.error_model, n_flows, root, pool);
+  if (config.registry) {
+    config.registry->counter("net.errormodel.tables_built")
+        .add(per_pool.tables_built());
+  }
+  return per_pool;
+}
+
+/// The pool of a call that runs one engine on the caller's rng (the
+/// monolith and the degenerate one-shard plan): its root is one draw
+/// from that rng, taken at the same point in both paths so they stay
+/// bitwise equal; threshold runs draw nothing. Built serially — the
+/// call owns no worker pool.
+std::optional<PerTablePool> make_single_engine_pool(
+    const NetworkConfig& config, std::size_t n_flows, Rng& rng) {
+  if (config.error_model.model != RxModel::kPerModel) return std::nullopt;
+  return make_per_pool(config, n_flows, rng.next_u64(), nullptr);
+}
+
 /// One shard's simulation: a self-contained event engine over the
 /// shard's member nodes, indexed locally (0..n-1). The monolithic
 /// `simulate_network` runs the same engine on the single shard of an
@@ -144,15 +212,16 @@ class Engine {
 
   Engine(const NetworkConfig& config, const std::vector<NodeConfig>& nodes,
          const std::vector<Flow>& flows, const ShardPlan& plan,
-         std::size_t shard, Rng& rng, obs::Registry* registry,
-         obs::TraceSink* trace, std::uint64_t frame_id_base,
-         const BorderMode& border = {})
+         std::size_t shard, Rng& rng, const PerTablePool* per_pool,
+         obs::Registry* registry, obs::TraceSink* trace,
+         std::uint64_t frame_id_base, const BorderMode& border = {})
       : config_(config),
         rng_(rng),
         frame_id_base_(frame_id_base),
         border_(border) {
     timing_ = mac::mac_timing(config.generation);
     per_model_ = config.error_model.model == RxModel::kPerModel;
+    per_pool_ = per_pool;
     n_tiles_ = plan.shards.size();
     // The fused border reference simulates every tile in one engine;
     // everything else runs the members of its own shard.
@@ -424,22 +493,13 @@ class Engine {
           &registry_->histogram("net.flow_delay_s", 1e-6, 100.0, 64, label));
     }
 
-    // Data-rate ladder: one fixed rate, or the eight OFDM rates for ARF.
+    data_rates_ = data_rate_ladder(config);
     if (config.rate_control == RateControlMode::kArf) {
-      check(per_model_, "ARF rate control requires the PER error model");
-      check(config.generation == mac::PhyGeneration::kOfdm,
-            "ARF rate control is implemented for the OFDM generation");
-      for (std::size_t i = 0; i < 8; ++i) {
-        data_rates_.push_back(
-            phy::ofdm_mcs_info(static_cast<phy::OfdmMcs>(i)).data_rate_mbps);
-      }
       for (std::size_t f = 0; f < n_flows_; ++f) {
         const std::uint32_t src = flow_src_[f];
         arf_[src].emplace(data_rates_.size());
         rate_index_[src] = arf_[src]->current();
       }
-    } else {
-      data_rates_.push_back(config.data_rate_mbps);
     }
 
     // Frame airtimes.
@@ -456,38 +516,19 @@ class Engine {
     t_cts_ = mac::control_duration_s(config.generation, mac::kCtsBytes,
                                      config.basic_rate_mbps);
 
-    // PER-model link dictionaries, one per flow in flow order (then a
-    // fixed draw order inside LinkPerModel), so a seeded run is a pure
-    // function of its Rng. Control frames ride the basic rate; an HT
-    // network still sends them as legacy OFDM.
+    // PER model: each flow's table indices into the call's shared pool,
+    // drawn from the flow's own derived stream (keyed by global flow id),
+    // so every mode and engine split gives a link the same tables.
     rate_stats_.resize(n_flows_);
     if (per_model_) {
-      const mac::PhyGeneration ctrl_gen =
-          config.generation == mac::PhyGeneration::kHt
-              ? mac::PhyGeneration::kOfdm
-              : config.generation;
-      models_.reserve(n_flows_);
-      const std::uint64_t flow_root =
-          border_.enabled ? par::derive_seed(border_.root_seed, 5, 0) : 0;
+      check(per_pool_ != nullptr, "the PER model needs a PER-table pool");
+      const std::size_t per_flow =
+          per_pool_->n_keys() * per_pool_->link_realizations();
+      link_tables_.resize(n_flows_ * per_flow);
       for (std::size_t f = 0; f < n_flows_; ++f) {
-        // Border mode builds each flow's dictionaries from a per-flow
-        // derived stream (keyed by global flow id) so fused and
-        // per-tile engines freeze identical fading realizations.
-        std::optional<Rng> flow_rng;
-        if (border_.enabled)
-          flow_rng.emplace(par::derive_seed(flow_root, flow_id_[f], 0));
-        Rng& mrng = border_.enabled ? *flow_rng : rng_;
-        FlowErrorModels m;
-        m.data.reserve(data_rates_.size());
-        for (const double rate : data_rates_) {
-          m.data.emplace_back(config.generation, rate, data_mpdu,
-                              config.error_model, mrng);
-        }
-        m.ctrl_fwd = LinkPerModel(ctrl_gen, config.basic_rate_mbps,
-                                  mac::kRtsBytes, config.error_model, mrng);
-        m.ctrl_rev = LinkPerModel(ctrl_gen, config.basic_rate_mbps,
-                                  mac::kAckBytes, config.error_model, mrng);
-        models_.push_back(std::move(m));
+        per_pool_->draw_link(
+            flow_id_[f],
+            std::span(link_tables_.data() + f * per_flow, per_flow));
       }
     }
   }
@@ -649,23 +690,24 @@ class Engine {
     ++rate_stats_[flow].attempts;
   }
 
-  /// PER dictionary governing a transmission's reception. CTS and ACK
-  /// frames are addressed to the station that sourced the exchange, so
-  /// their flow is recovered from the destination.
-  const LinkPerModel& model_for(const Transmission& t) const {
+  /// Pool key and local flow governing a transmission's reception (key
+  /// order as in make_per_pool). CTS and ACK frames are addressed to the
+  /// station that sourced the exchange, so their flow is recovered from
+  /// the destination.
+  std::pair<std::size_t, std::size_t> per_key_of(const Transmission& t) const {
     switch (t.kind) {
       case mac::FrameType::kData:
-        return models_[t.flow].data[t.rate_index];
+        return {t.rate_index, t.flow};
       case mac::FrameType::kRts:
-        return models_[t.flow].ctrl_fwd;
+        return {data_rates_.size() + 1, t.flow};
       case mac::FrameType::kCts:
       case mac::FrameType::kAck:
-        return models_[flow_of_[t.dest]].ctrl_rev;
+        return {data_rates_.size(), flow_of_[t.dest]};
       case mac::FrameType::kBeacon:
         break;
     }
     check(false, "no PER model for this frame type");
-    return models_.front().ctrl_rev;
+    return {0, 0};
   }
 
   /// Edge index of neighbor `to` in `from`'s row (rows are ascending);
@@ -1071,15 +1113,18 @@ class Engine {
         if (sinr_db < config_.error_model.preamble_capture_db) {
           delivered = false;
         } else {
-          // Block fading per frame: pick a realization from the link's
-          // dictionary, look up its PER at the worst-case SINR (the
-          // table is already scaled to this frame type's PSDU size),
-          // survive a Bernoulli draw.
-          const LinkPerModel& model = model_for(t);
+          // Block fading per frame: pick one of the link's pool tables,
+          // look up its PER at the worst-case SINR (the table is already
+          // scaled to this frame type's PSDU size), survive a Bernoulli
+          // draw.
+          const auto [key, flow] = per_key_of(t);
+          const std::size_t n_real = per_pool_->link_realizations();
           Rng& rx_rng = rx_stream(t.dest);
-          const auto realization = static_cast<std::size_t>(
-              rx_rng.uniform_int(model.realizations()));
-          delivered = !rx_rng.bernoulli(model.per(sinr_db, realization));
+          const auto j = static_cast<std::size_t>(rx_rng.uniform_int(n_real));
+          const std::uint32_t table =
+              link_tables_[(flow * per_pool_->n_keys() + key) * n_real + j];
+          delivered =
+              !rx_rng.bernoulli(per_pool_->model(key).per(sinr_db, table));
         }
       } else {
         const double required = t.kind == mac::FrameType::kData
@@ -1370,14 +1415,11 @@ class Engine {
   double t_ack_ = 0.0;
   double t_rts_ = 0.0;
   double t_cts_ = 0.0;
-  // PER reception model (per_model_ only).
+  // PER reception model (per_model_ only): the call's shared pool and,
+  // per local flow, n_keys x realizations pool table indices.
   bool per_model_ = false;
-  struct FlowErrorModels {
-    std::vector<LinkPerModel> data;  // source -> destination, per rate
-    LinkPerModel ctrl_fwd;           // RTS, source -> destination
-    LinkPerModel ctrl_rev;           // CTS/ACK, destination -> source
-  };
-  std::vector<FlowErrorModels> models_;
+  const PerTablePool* per_pool_ = nullptr;
+  std::vector<std::uint32_t> link_tables_;
   struct RateStats {
     double rate_sum_mbps = 0.0;
     std::uint64_t attempts = 0;
@@ -1592,16 +1634,19 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
     shard_rngs.emplace_back(par::derive_seed(root, s, 0));
   std::vector<ShardOutput> outputs(n_tiles);
   std::vector<std::unique_ptr<Engine>> engines(n_tiles);
+  std::optional<PerTablePool> per_pool;
   const std::uint64_t setup0 = par::detail::monotonic_ns();
   {
     const obs::perf::ScopedSpan span("net.setup");
+    per_pool = make_per_pool(config, flows.size(), per_pool_root(root), &pool);
     pool.parallel_for(n_tiles, 1, [&](std::size_t b, std::size_t e) {
       for (std::size_t s = b; s < e; ++s) {
         outputs[s].registry = std::make_unique<obs::Registry>();
         engines[s] = std::make_unique<Engine>(
             config, nodes, flows, plan, s, shard_rngs[s],
-            outputs[s].registry.get(), synced ? &*synced : nullptr,
-            static_cast<std::uint64_t>(s) << 40, mode);
+            per_pool ? &*per_pool : nullptr, outputs[s].registry.get(),
+            synced ? &*synced : nullptr, static_cast<std::uint64_t>(s) << 40,
+            mode);
       }
     });
   }
@@ -1724,15 +1769,18 @@ NetworkResult simulate_network(const NetworkConfig& config,
                                const std::vector<NodeConfig>& nodes,
                                const std::vector<Flow>& flows, Rng& rng) {
   validate_network(nodes, flows);
+  std::optional<PerTablePool> per_pool;
   std::optional<Engine> engine;
   {
     // Topology, rate tables, and (with an error model) the frozen fading
-    // dictionaries — often a visible share of short runs.
+    // tables — often a visible share of short runs.
     const obs::perf::ScopedSpan span("net.setup");
     ShardOptions monolithic;
     monolithic.cutoff_margin_db = std::numeric_limits<double>::infinity();
     const ShardPlan plan = plan_shards(config, nodes, monolithic);
-    engine.emplace(config, nodes, flows, plan, 0, rng, config.registry,
+    per_pool = make_single_engine_pool(config, flows.size(), rng);
+    engine.emplace(config, nodes, flows, plan, 0, rng,
+                   per_pool ? &*per_pool : nullptr, config.registry,
                    config.trace, 0);
   }
   return engine->run();
@@ -1772,10 +1820,14 @@ NetworkResult simulate_network_sharded(const NetworkConfig& config,
       mode.fused = true;
       mode.delay_s = plan->lookahead_s;
       mode.root_seed = root;
+      std::optional<PerTablePool> per_pool;
       std::optional<Engine> engine;
       {
         const obs::perf::ScopedSpan span("net.setup");
-        engine.emplace(config, nodes, flows, *plan, 0, rng, config.registry,
+        per_pool = make_per_pool(config, flows.size(), per_pool_root(root),
+                                 nullptr);
+        engine.emplace(config, nodes, flows, *plan, 0, rng,
+                       per_pool ? &*per_pool : nullptr, config.registry,
                        config.trace, 0, mode);
       }
       NetworkResult result = engine->run();
@@ -1802,10 +1854,13 @@ NetworkResult simulate_network_sharded(const NetworkConfig& config,
   if (n_shards == 1) {
     // Degenerate plan: run inline on the caller's rng — bitwise the
     // monolithic simulation.
+    std::optional<PerTablePool> per_pool;
     std::optional<Engine> engine;
     {
       const obs::perf::ScopedSpan span("net.setup");
-      engine.emplace(config, nodes, flows, *plan, 0, rng, config.registry,
+      per_pool = make_single_engine_pool(config, flows.size(), rng);
+      engine.emplace(config, nodes, flows, *plan, 0, rng,
+                     per_pool ? &*per_pool : nullptr, config.registry,
                      config.trace, 0);
     }
     return engine->run();
@@ -1818,20 +1873,29 @@ NetworkResult simulate_network_sharded(const NetworkConfig& config,
 
   // One derived Rng per shard from a single root draw — the sweep is a
   // pure function of the caller's rng state and the plan, bitwise
-  // identical for any worker count.
+  // identical for any worker count. The PER-table pool is built first,
+  // on the same lanes, and shared read-only by every shard.
   const std::uint64_t root = rng.next_u64();
   par::SweepOptions opt;
   opt.root_seed = root;
   opt.jobs = options.jobs;
+  std::unique_ptr<par::ThreadPool> owned_pool;
+  par::ThreadPool& pool = par::detail::select_pool(opt, owned_pool);
+  std::optional<PerTablePool> per_pool;
+  {
+    const obs::perf::ScopedSpan span("net.setup");
+    per_pool = make_per_pool(config, flows.size(), per_pool_root(root), &pool);
+  }
   std::vector<ShardOutput> outputs =
-      par::map(n_shards, opt, [&](std::size_t s, Rng& shard_rng) {
+      par::map(pool, n_shards, opt, [&](std::size_t s, Rng& shard_rng) {
         ShardOutput out;
         out.registry = std::make_unique<obs::Registry>();
         std::optional<Engine> engine;
         {
           const obs::perf::ScopedSpan span("net.setup");
           engine.emplace(config, nodes, flows, *plan, s, shard_rng,
-                         out.registry.get(), synced ? &*synced : nullptr,
+                         per_pool ? &*per_pool : nullptr, out.registry.get(),
+                         synced ? &*synced : nullptr,
                          static_cast<std::uint64_t>(s) << 40);
         }
         out.result = engine->run();

@@ -330,17 +330,16 @@ std::vector<Result> sweep_batched(std::size_t n_points, std::size_t n_trials,
 /// Parallel map: `fn(index, rng)` for each index in [0, n), one derived
 /// Rng per index (point = index, trial = 0), results in index order.
 /// For batches of heterogeneous independent runs (netsim replications,
-/// per-distance simulator points).
+/// per-distance simulator points). Runs on `pool`; `opt.jobs` is not
+/// consulted (see the overload below).
 template <class Fn>
-auto map(std::size_t n, const SweepOptions& opt, Fn&& fn)
+auto map(ThreadPool& pool, std::size_t n, const SweepOptions& opt, Fn&& fn)
     -> std::vector<decltype(fn(std::size_t{0}, std::declval<Rng&>()))> {
   using R = decltype(fn(std::size_t{0}, std::declval<Rng&>()));
   check(n > 0, "par::map requires at least one item");
   std::vector<R> out(n);
   const detail::ProfileTargets prof = detail::profiling_targets();
 
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = detail::select_pool(opt, owned);
   pool.parallel_for(n, 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       const detail::ProfileShardGuard shard(prof);
@@ -355,6 +354,13 @@ auto map(std::size_t n, const SweepOptions& opt, Fn&& fn)
     }
   });
   return out;
+}
+
+/// Parallel map on the pool `opt` selects (see SweepOptions::jobs).
+template <class Fn>
+auto map(std::size_t n, const SweepOptions& opt, Fn&& fn) {
+  std::unique_ptr<ThreadPool> owned;
+  return map(detail::select_pool(opt, owned), n, opt, std::forward<Fn>(fn));
 }
 
 }  // namespace wlan::par

@@ -571,8 +571,7 @@ void HtPhy::simulate_front_into(std::span<const std::uint8_t> psdu,
         }
         p->record(std::sqrt(err2 / static_cast<double>(n_dt)));
       }
-      if (obs::Histogram* p =
-              obs::probe_histogram(obs::Probe::kHtPostEqSnr)) {
+      if (obs::probe_histogram(obs::Probe::kHtPostEqSnr) != nullptr) {
         // The effective noise variances come straight from the per-tone
         // detectors, so they repeat every symbol: memoize the dB
         // conversion on the first symbol and bulk-record once after the

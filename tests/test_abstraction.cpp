@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "channel/awgn.h"
 #include "common/check.h"
@@ -179,6 +180,19 @@ TEST(PerTable, ClampsOutsideGrid) {
   EXPECT_EQ(table.lookup(90.0), table.lookup(20.0));
   EXPECT_THROW(PerTable().lookup(5.0), ContractError);
   EXPECT_THROW(PerTable(0.0, -1.0, 0.5, [](double) { return 0.0; }),
+               ContractError);
+}
+
+TEST(PerTable, InfiniteSnrClampsAndNanIsRejected) {
+  const PerTable table(0.0, 20.0, 0.5, [](double snr) {
+    return ofdm_awgn_per(phy::OfdmMcs::k54Mbps, snr);
+  });
+  EXPECT_EQ(table.lookup(-std::numeric_limits<double>::infinity()),
+            table.lookup(0.0));
+  EXPECT_EQ(table.lookup(std::numeric_limits<double>::infinity()),
+            table.lookup(20.0));
+  // A NaN SNR would pass both clamps into an out-of-range index.
+  EXPECT_THROW(table.lookup(std::numeric_limits<double>::quiet_NaN()),
                ContractError);
 }
 

@@ -1,6 +1,7 @@
 // The spatially sharded network engine: planner geometry, shard-vs-
 // monolith bitwise equivalence, thread-count-independent merges, and
 // the event-bookkeeping fixes that scaling flushed out.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -19,6 +20,7 @@
 #include "net/shard.h"
 #include "obs/metrics.h"
 #include "par/montecarlo.h"
+#include "par/pool.h"
 
 namespace wlan {
 namespace {
@@ -456,6 +458,197 @@ TEST(EesmGrid, PerBatchMatchesScalarLookups) {
   for (std::size_t i = 0; i < sinr.size(); ++i) {
     EXPECT_EQ(batch[i], model.per(sinr[i], real[i])) << i;
   }
+}
+
+// --- Shared PER-table pool -------------------------------------------
+
+net::ErrorModelConfig pool_config(std::size_t realizations) {
+  net::ErrorModelConfig cfg;
+  cfg.model = net::RxModel::kPerModel;
+  cfg.realizations = realizations;
+  return cfg;
+}
+
+const std::vector<net::PerKey> kOfdmKeys{
+    {mac::PhyGeneration::kOfdm, 24.0, 1028},
+    {mac::PhyGeneration::kOfdm, 6.0, mac::kAckBytes}};
+
+TEST(PerTablePool, FlatTablesMatchScalarPrediction) {
+  // The flat table store reproduces the scalar EESM -> AWGN chain of
+  // the same frozen realization on every grid point.
+  const net::ErrorModelConfig cfg = pool_config(2);
+  Rng rng(5);
+  const net::LinkPerModel model(mac::PhyGeneration::kOfdm, 24.0, 1028, cfg,
+                                rng);
+  Rng replay(5);
+  for (std::size_t r = 0; r < 2; ++r) {
+    const channel::Tdl tdl = channel::make_tdl(replay, cfg.profile, 20e6);
+    for (double snr = -15.0; snr <= 50.0; snr += 0.5) {
+      EXPECT_NEAR(model.per(snr, r),
+                  predict_ofdm_per(phy::OfdmMcs::k24Mbps, tdl, snr, 1028),
+                  1e-9)
+          << "realization " << r << " snr " << snr;
+    }
+  }
+  EXPECT_THROW(model.per(std::nan(""), 0), ContractError);
+}
+
+TEST(PerTablePool, BitwiseIdenticalAtAnyJobs) {
+  const net::ErrorModelConfig cfg = pool_config(8);
+  const net::PerTablePool serial(kOfdmKeys, cfg, 40, 77);
+  par::ThreadPool lanes(4);
+  const net::PerTablePool parallel(kOfdmKeys, cfg, 40, 77, &lanes);
+  ASSERT_EQ(serial.tables_built(), parallel.tables_built());
+  for (std::size_t k = 0; k < serial.n_keys(); ++k) {
+    for (std::size_t r = 0; r < serial.tables_per_key(); ++r) {
+      for (const double snr : {-3.0, 7.25, 12.0, 19.5, 33.0}) {
+        ASSERT_EQ(serial.model(k).per(snr, r), parallel.model(k).per(snr, r))
+            << "key " << k << " table " << r;
+      }
+    }
+  }
+}
+
+TEST(PerTablePool, NeverBuildsMoreTablesThanPerFlowDictionaries) {
+  for (const std::size_t flows : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{127}, std::size_t{128},
+                                  std::size_t{7500}}) {
+    const net::ErrorModelConfig cfg = pool_config(8);
+    const net::PerTablePool pool(kOfdmKeys, cfg, flows, flows);
+    const std::size_t per_key = pool.tables_per_key();
+    EXPECT_EQ(per_key, std::min<std::size_t>(net::kPerPoolRealizations,
+                                             cfg.realizations * flows));
+    EXPECT_LE(per_key, cfg.realizations * flows);
+    EXPECT_EQ(pool.tables_built(), pool.n_keys() * per_key);
+
+    // Every link holds R distinct, in-range indices per key; a lone flow
+    // holds each table of its key exactly once, as its own dictionary
+    // would.
+    std::vector<std::uint32_t> idx(pool.n_keys() * cfg.realizations);
+    for (std::size_t f = 0; f < std::min<std::size_t>(flows, 50); ++f) {
+      pool.draw_link(f, idx);
+      for (std::size_t k = 0; k < pool.n_keys(); ++k) {
+        std::vector<std::uint32_t> sel(
+            idx.begin() + static_cast<std::ptrdiff_t>(k * cfg.realizations),
+            idx.begin() +
+                static_cast<std::ptrdiff_t>((k + 1) * cfg.realizations));
+        for (const std::uint32_t t : sel) EXPECT_LT(t, per_key);
+        std::sort(sel.begin(), sel.end());
+        EXPECT_EQ(std::adjacent_find(sel.begin(), sel.end()), sel.end());
+        if (flows == 1) {
+          EXPECT_EQ(sel.back(), cfg.realizations - 1);
+        }
+      }
+    }
+  }
+  // A link wanting more realizations than the default K still gets
+  // distinct tables.
+  const net::PerTablePool wide(kOfdmKeys, pool_config(1500), 2, 1);
+  EXPECT_EQ(wide.tables_per_key(), 1500u);
+}
+
+TEST(PerTablePool, MeanPerMatchesPerLinkDictionaries) {
+  // Statistical equivalence of the pool to the per-link dictionaries it
+  // replaces: over many links, the mean PER at each SNR of the pool
+  // tables the links index agrees with the mean over freshly built
+  // per-link LinkPerModels within a 4-sigma Monte-Carlo interval. Links
+  // share pool tables, so the pool side's sample count is the effective
+  // count (sum m)^2 / sum m^2 of the table multiplicities m.
+  constexpr std::size_t kLinks = 240;
+  const net::ErrorModelConfig cfg = pool_config(8);
+  const net::PerTablePool pool(kOfdmKeys, cfg, kLinks, 2024);
+  std::vector<std::size_t> mult(pool.tables_per_key(), 0);
+  std::vector<std::uint32_t> idx(pool.n_keys() * cfg.realizations);
+  for (std::size_t f = 0; f < kLinks; ++f) {
+    pool.draw_link(f, idx);
+    for (std::size_t j = 0; j < cfg.realizations; ++j) ++mult[idx[j]];
+  }
+  double sum_m = 0.0;
+  double sum_m2 = 0.0;
+  for (const std::size_t m : mult) {
+    sum_m += static_cast<double>(m);
+    sum_m2 += static_cast<double>(m * m);
+  }
+  const double n_pool = sum_m * sum_m / sum_m2;
+
+  std::vector<net::LinkPerModel> fresh;
+  Rng rng(2025);
+  for (std::size_t f = 0; f < kLinks; ++f) {
+    fresh.emplace_back(mac::PhyGeneration::kOfdm, 24.0, 1028, cfg, rng);
+  }
+  const double n_fresh = static_cast<double>(kLinks * cfg.realizations);
+
+  std::size_t waterfall_points = 0;
+  for (double snr = 0.0; snr <= 40.0; snr += 2.0) {
+    double pool_sum = 0.0;
+    double pool_sq = 0.0;
+    for (std::size_t t = 0; t < mult.size(); ++t) {
+      const double p = pool.model(0).per(snr, t);
+      pool_sum += static_cast<double>(mult[t]) * p;
+      pool_sq += static_cast<double>(mult[t]) * p * p;
+    }
+    const double pool_mean = pool_sum / sum_m;
+    const double pool_var = pool_sq / sum_m - pool_mean * pool_mean;
+    double fresh_sum = 0.0;
+    double fresh_sq = 0.0;
+    for (const net::LinkPerModel& m : fresh) {
+      for (std::size_t r = 0; r < m.realizations(); ++r) {
+        const double p = m.per(snr, r);
+        fresh_sum += p;
+        fresh_sq += p * p;
+      }
+    }
+    const double fresh_mean = fresh_sum / n_fresh;
+    const double fresh_var = fresh_sq / n_fresh - fresh_mean * fresh_mean;
+    const double se = std::sqrt(pool_var / n_pool + fresh_var / n_fresh);
+    if (fresh_mean > 0.05 && fresh_mean < 0.95) ++waterfall_points;
+    EXPECT_LE(std::abs(pool_mean - fresh_mean), 4.0 * se + 1e-12)
+        << "snr " << snr << ": pool " << pool_mean << " vs per-link "
+        << fresh_mean;
+  }
+  EXPECT_GE(waterfall_points, 3u);  // the sweep crosses the waterfall
+}
+
+TEST(PerTablePool, TablesBuiltCounterIsPinned) {
+  // Hidden-terminal pair, RTS on: keys = data + ACK/CTS + RTS, each of
+  // K = min(1024, 8 realizations x 2 flows) = 16 tables.
+  const auto setup = net::make_hidden_terminal_setup(80.0);
+  net::NetworkConfig cfg;
+  cfg.duration_s = 0.05;
+  cfg.rts_cts = true;
+  cfg.error_model = pool_config(8);
+  obs::Registry reg;
+  cfg.registry = &reg;
+  Rng rng(3);
+  simulate_network(cfg, setup.nodes, setup.flows, rng);
+  const obs::Counter* built = reg.find_counter("net.errormodel.tables_built");
+  ASSERT_NE(built, nullptr);
+  EXPECT_EQ(built->value(), 48u);
+
+  // No RTS key without the exchange; ARF adds the eight-rate ladder.
+  // 63-node grid: 54 flows, K = min(1024, 8 x 54) = 432.
+  net::NetworkConfig arf;
+  arf.duration_s = 0.02;
+  arf.error_model = pool_config(8);
+  arf.rate_control = net::RateControlMode::kArf;
+  const Deployment d = multibss63(arf);
+  obs::Registry arf_reg;
+  arf.registry = &arf_reg;
+  net::ShardOptions opt;
+  opt.jobs = 2;
+  Rng arf_rng(4);
+  net::simulate_network_sharded(arf, d.nodes, d.flows, opt, arf_rng);
+  EXPECT_EQ(arf_reg.find_counter("net.errormodel.tables_built")->value(),
+            9u * 432u);
+
+  // Threshold reception builds no pool.
+  net::NetworkConfig plain;
+  plain.duration_s = 0.05;
+  obs::Registry plain_reg;
+  plain.registry = &plain_reg;
+  Rng plain_rng(3);
+  simulate_network(plain, setup.nodes, setup.flows, plain_rng);
+  EXPECT_EQ(plain_reg.find_counter("net.errormodel.tables_built"), nullptr);
 }
 
 }  // namespace
