@@ -112,9 +112,14 @@ inline unsigned mask_lt(DVec a, DVec b) {
       _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)));
 }
 /// Lane w = base[idx[w]] — an exact elementwise load (no arithmetic).
+/// The masked form with every lane enabled loads the same lanes as
+/// _mm256_i32gather_pd, whose GCC expansion reads an uninitialized
+/// pass-through register (-Wmaybe-uninitialized).
 inline DVec gather(const double* base, const std::uint32_t* idx) {
-  return {_mm256_i32gather_pd(
-      base, _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)), 8)};
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return {_mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), base,
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)), all, 8)};
 }
 
 #elif defined(HOLTWLAN_SIMD_SSE2)

@@ -89,19 +89,6 @@ struct BorderMsg {
   double nav_until_s = 0.0;
 };
 
-/// How an Engine participates in border exchange (all defaults = the
-/// legacy component-sharded behavior, untouched).
-struct BorderMode {
-  bool enabled = false;  ///< delayed cross-tile influence semantics
-  bool fused = false;    ///< one engine simulates every tile (reference)
-  double delay_s = 0.0;  ///< = ShardPlan::lookahead_s
-  /// Root for the per-entity RNG streams border mode uses instead of
-  /// the shared sequential Rng (per-node MAC backoff, per-node
-  /// reception, per-flow arrivals/fading, per-pair shadowing) so fused
-  /// and per-tile runs consume identical randomness.
-  std::uint64_t root_seed = 0;
-};
-
 /// Subtracts an interferer's power from a running sum. Incremental
 /// add/subtract leaves rounding residues, so the result can dip below
 /// zero legitimately — but only by an amount set by machine epsilon and
@@ -136,10 +123,9 @@ std::vector<double> data_rate_ladder(const NetworkConfig& config) {
   return rates;
 }
 
-/// Point and trial of the PER-table pool root under a sharded call's
-/// root draw. The component sweep seeds shard s from (s, 0) and border
-/// streams use points 1..4 (plus (s, 0) per tile); trial 1 of point 6
-/// is neither.
+/// Point and trial of the PER-table pool root under a call's root draw.
+/// Engine streams use points 1..4 (see Engine); trial 1 of point 6 is
+/// none of them.
 constexpr std::uint64_t kPerPoolPoint = 6;
 constexpr std::uint64_t kPerPoolTrial = 1;
 
@@ -177,23 +163,21 @@ std::optional<PerTablePool> make_per_pool(const NetworkConfig& config,
   return per_pool;
 }
 
-/// The pool of a call that runs one engine on the caller's rng (the
-/// monolith and the degenerate one-shard plan): its root is one draw
-/// from that rng, taken at the same point in both paths so they stay
-/// bitwise equal; threshold runs draw nothing. Built serially — the
-/// call owns no worker pool.
-std::optional<PerTablePool> make_single_engine_pool(
-    const NetworkConfig& config, std::size_t n_flows, Rng& rng) {
-  if (config.error_model.model != RxModel::kPerModel) return std::nullopt;
-  return make_per_pool(config, n_flows, rng.next_u64(), nullptr);
-}
+/// The `shard` argument that makes an Engine simulate every shard of its
+/// plan at once (the fused reference).
+constexpr std::size_t kAllShards = kNone;
 
 /// One shard's simulation: a self-contained event engine over the
-/// shard's member nodes, indexed locally (0..n-1). The monolithic
-/// `simulate_network` runs the same engine on the single shard of an
-/// unbounded plan, so sharded and monolithic execution share every
-/// instruction of the hot path — shard-vs-monolith equivalence is by
-/// construction, not by parallel maintenance of two code paths.
+/// shard's member nodes (or, with `kAllShards`, over every node of the
+/// plan), indexed locally (0..n-1). Every mode — the monolith, component
+/// shards, border tiles and the fused reference — runs this engine.
+///
+/// RNG discipline: the engine never draws from a shared sequential
+/// stream. Every draw comes from a stream derived from the call's `root`
+/// by GLOBAL id — MAC backoff per node (point 1), reception per node (2),
+/// arrivals per flow (3), shadowing per pair (4) — so the draw sequence
+/// of a node does not depend on which engine simulates it, and a run's
+/// results do not depend on how its nodes are grouped into engines.
 ///
 /// Station state is structure-of-arrays: the medium walk touches
 /// transmitting/nav/ambient/busy_prev for a handful of neighbors per
@@ -212,26 +196,24 @@ class Engine {
 
   Engine(const NetworkConfig& config, const std::vector<NodeConfig>& nodes,
          const std::vector<Flow>& flows, const ShardPlan& plan,
-         std::size_t shard, Rng& rng, const PerTablePool* per_pool,
-         obs::Registry* registry, obs::TraceSink* trace,
-         std::uint64_t frame_id_base, const BorderMode& border = {})
+         std::size_t shard, std::uint64_t root,
+         const PerTablePool* per_pool, obs::Registry* registry,
+         obs::TraceSink* trace, std::uint64_t frame_id_base)
       : config_(config),
-        rng_(rng),
         frame_id_base_(frame_id_base),
-        border_(border) {
+        fused_(shard == kAllShards),
+        delay_s_(plan.lookahead_s) {
     timing_ = mac::mac_timing(config.generation);
     per_model_ = config.error_model.model == RxModel::kPerModel;
     per_pool_ = per_pool;
     n_tiles_ = plan.shards.size();
-    // The fused border reference simulates every tile in one engine;
-    // everything else runs the members of its own shard.
     std::vector<std::uint32_t> fused_members;
-    if (border_.enabled && border_.fused) {
+    if (fused_) {
       fused_members.resize(nodes.size());
       std::iota(fused_members.begin(), fused_members.end(), 0u);
     }
     const std::vector<std::uint32_t>& members =
-        border_.enabled && border_.fused ? fused_members : plan.shards[shard];
+        fused_ ? fused_members : plan.shards[shard];
     n_ = members.size();
     node_id_.assign(members.begin(), members.end());
     std::vector<std::uint32_t> g2l(nodes.size(), kNil);
@@ -247,133 +229,97 @@ class Engine {
       cs_w_[l] = dbm_to_watt(node.cs_threshold_dbm);
     }
 
-    if (!border_.enabled) {
-      // Neighbor CSR restricted to the shard, with deterministic
-      // received powers per edge — the sparse replacement for the dense
-      // gain matrix. A member's plan row stays inside the component by
-      // definition, so every neighbor has a local index.
-      row_off_.assign(n_ + 1, 0);
-      std::size_t edges = 0;
-      for (std::size_t l = 0; l < n_; ++l) {
-        row_off_[l] = edges;
-        edges += plan.degree(node_id_[l]);
-      }
-      row_off_[n_] = edges;
-      row_nbr_.resize(edges);
-      row_gain_.resize(edges);
-      for (std::size_t l = 0; l < n_; ++l) {
-        const std::size_t g = node_id_[l];
-        std::size_t out = row_off_[l];
-        for (std::size_t e = plan.row_offset[g]; e < plan.row_offset[g + 1];
-             ++e, ++out) {
-          const std::uint32_t nbr_g = plan.nbr[e];
+    // Neighbor CSR over same-tile edges, with deterministic received
+    // powers per edge — the sparse replacement for the dense gain
+    // matrix. Cross-tile edges (border plans only: a component plan's
+    // rows stay inside their component by definition) go to the
+    // outbound/inbound tables instead, so rx_power_w is exactly zero
+    // across tiles in every engine and cross-tile power arrives solely
+    // through delayed influence records.
+    auto path_gain_w = [&](std::uint32_t from_g, std::uint32_t to_g) {
+      const double d = std::max(
+          mesh::distance(nodes[from_g].position, nodes[to_g].position), 0.5);
+      return dbm_to_watt(nodes[from_g].tx_power_dbm -
+                         config.pathloss.path_loss_db(d));
+    };
+    // Log-normal shadowing: one factor per coupled unordered pair from a
+    // stream keyed by the pair's global ids, applied to both directions
+    // (large-scale fading is reciprocal), so every engine split computes
+    // the identical factor.
+    const double sigma_db = config.error_model.shadowing_sigma_db;
+    const bool shadowed = per_model_ && sigma_db > 0.0;
+    const std::uint64_t shadow_root = par::derive_seed(root, 4, 0);
+    auto pair_factor = [&](std::uint32_t a, std::uint32_t b) {
+      if (b < a) std::swap(a, b);
+      Rng pr(par::derive_seed(shadow_root, a, b));
+      return db_to_lin(-pr.gaussian(0.0, sigma_db));
+    };
+    std::size_t plan_edges = 0;
+    for (std::size_t l = 0; l < n_; ++l) plan_edges += plan.degree(node_id_[l]);
+    row_nbr_.reserve(plan_edges);
+    row_gain_.reserve(plan_edges);
+    row_off_.assign(n_ + 1, 0);
+    out_off_.assign(n_ + 1, 0);
+    std::unordered_map<std::uint64_t,
+                       std::vector<std::pair<std::uint32_t, double>>>
+        inbound_rows;
+    std::vector<std::uint32_t> out_scratch;
+    for (std::size_t l = 0; l < n_; ++l) {
+      row_off_[l] = row_nbr_.size();
+      out_off_[l] = out_tile_.size();
+      const auto g = static_cast<std::uint32_t>(node_id_[l]);
+      const std::uint32_t my_tile = plan.shard_of[g];
+      out_scratch.clear();
+      for (std::size_t e = plan.row_offset[g]; e < plan.row_offset[g + 1];
+           ++e) {
+        const std::uint32_t nbr_g = plan.nbr[e];
+        const std::uint32_t nbr_tile = plan.shard_of[nbr_g];
+        if (nbr_tile == my_tile) {
           const std::uint32_t nbr_l = g2l[nbr_g];
-          check(nbr_l != kNil, "shard plan row escapes its component");
-          row_nbr_[out] = nbr_l;
-          const double d = std::max(
-              mesh::distance(nodes[g].position, nodes[nbr_g].position), 0.5);
-          row_gain_[out] = dbm_to_watt(nodes[g].tx_power_dbm -
-                                       config.pathloss.path_loss_db(d));
+          check(nbr_l != kNil, "same-tile neighbor missing locally");
+          row_nbr_.push_back(nbr_l);
+          row_gain_.push_back(path_gain_w(g, nbr_g));
+        } else {
+          // Outbound: l's transmissions influence nbr_tile. Inbound:
+          // nbr_g's transmissions deposit power at l (ascending l per
+          // origin because the outer loop ascends).
+          out_scratch.push_back(nbr_tile);
+          double gain = path_gain_w(nbr_g, g);
+          if (shadowed) gain *= pair_factor(nbr_g, g);
+          inbound_rows[static_cast<std::uint64_t>(nbr_g) * n_tiles_ + my_tile]
+              .emplace_back(static_cast<std::uint32_t>(l), gain);
         }
       }
-      if (per_model_ && config.error_model.shadowing_sigma_db > 0.0) {
-        // Log-normal shadowing: one draw per coupled unordered pair, in
-        // ascending (i, j) order, applied to both directions (large-scale
-        // fading is reciprocal). On the unbounded plan every pair is
-        // coupled, so this is the legacy all-pairs draw sequence.
-        for (std::size_t l = 0; l < n_; ++l) {
-          for (std::size_t e = row_off_[l]; e < row_off_[l + 1]; ++e) {
-            const std::uint32_t m = row_nbr_[e];
-            if (m <= l) continue;
-            const double f = db_to_lin(
-                -rng.gaussian(0.0, config.error_model.shadowing_sigma_db));
-            row_gain_[e] *= f;
-            row_gain_[edge_index(m, static_cast<std::uint32_t>(l))] *= f;
-          }
-        }
-      }
-    } else {
-      // Border mode: the local CSR keeps only same-tile edges, so
-      // rx_power_w is exactly zero across tiles in every engine —
-      // cross-tile power arrives solely through delayed influence
-      // records, built from the cross tables below. Shadowing factors
-      // come from per-pair derived streams (keyed by global ids) so the
-      // fused reference and every per-tile engine compute the identical
-      // factor without a shared draw sequence.
-      const std::uint64_t shadow_root =
-          par::derive_seed(border_.root_seed, 4, 0);
-      const bool shadowed =
-          per_model_ && config.error_model.shadowing_sigma_db > 0.0;
-      auto pair_factor = [&](std::uint32_t a, std::uint32_t b) {
-        if (!shadowed) return 1.0;
-        if (b < a) std::swap(a, b);
-        Rng pr(par::derive_seed(shadow_root, a, b));
-        return db_to_lin(
-            -pr.gaussian(0.0, config.error_model.shadowing_sigma_db));
-      };
-      auto gain_w = [&](std::uint32_t from_g, std::uint32_t to_g) {
-        const double d = std::max(
-            mesh::distance(nodes[from_g].position, nodes[to_g].position),
-            0.5);
-        return dbm_to_watt(nodes[from_g].tx_power_dbm -
-                           config.pathloss.path_loss_db(d)) *
-               pair_factor(from_g, to_g);
-      };
-      row_off_.assign(n_ + 1, 0);
-      out_off_.assign(n_ + 1, 0);
-      std::unordered_map<std::uint64_t,
-                         std::vector<std::pair<std::uint32_t, double>>>
-          inbound_rows;
-      std::vector<std::uint32_t> out_scratch;
+      std::sort(out_scratch.begin(), out_scratch.end());
+      out_scratch.erase(std::unique(out_scratch.begin(), out_scratch.end()),
+                        out_scratch.end());
+      out_tile_.insert(out_tile_.end(), out_scratch.begin(),
+                       out_scratch.end());
+    }
+    row_off_[n_] = row_nbr_.size();
+    out_off_[n_] = out_tile_.size();
+    if (shadowed) {
       for (std::size_t l = 0; l < n_; ++l) {
-        row_off_[l] = row_nbr_.size();
-        out_off_[l] = out_tile_.size();
-        const std::size_t g = node_id_[l];
-        const std::uint32_t my_tile = plan.shard_of[g];
-        out_scratch.clear();
-        for (std::size_t e = plan.row_offset[g]; e < plan.row_offset[g + 1];
-             ++e) {
-          const std::uint32_t nbr_g = plan.nbr[e];
-          const std::uint32_t nbr_tile = plan.shard_of[nbr_g];
-          if (nbr_tile == my_tile) {
-            const std::uint32_t nbr_l = g2l[nbr_g];
-            check(nbr_l != kNil, "same-tile neighbor missing locally");
-            row_nbr_.push_back(nbr_l);
-            row_gain_.push_back(gain_w(static_cast<std::uint32_t>(g), nbr_g));
-          } else {
-            // Outbound: l's transmissions influence nbr_tile. Inbound:
-            // nbr_g's transmissions deposit power at l (ascending l per
-            // origin because the outer loop ascends).
-            out_scratch.push_back(nbr_tile);
-            inbound_rows[static_cast<std::uint64_t>(nbr_g) * n_tiles_ +
-                         my_tile]
-                .emplace_back(static_cast<std::uint32_t>(l),
-                              gain_w(nbr_g, static_cast<std::uint32_t>(g)));
-          }
+        for (std::size_t e = row_off_[l]; e < row_off_[l + 1]; ++e) {
+          const std::uint32_t m = row_nbr_[e];
+          if (m <= l) continue;
+          const double f = pair_factor(static_cast<std::uint32_t>(node_id_[l]),
+                                       static_cast<std::uint32_t>(node_id_[m]));
+          row_gain_[e] *= f;
+          row_gain_[edge_index(m, static_cast<std::uint32_t>(l))] *= f;
         }
-        std::sort(out_scratch.begin(), out_scratch.end());
-        out_scratch.erase(
-            std::unique(out_scratch.begin(), out_scratch.end()),
-            out_scratch.end());
-        out_tile_.insert(out_tile_.end(), out_scratch.begin(),
-                         out_scratch.end());
       }
-      row_off_[n_] = row_nbr_.size();
-      out_off_[n_] = out_tile_.size();
-      inbound_flat_.reserve(inbound_rows.size());
-      for (auto& [key, row] : inbound_rows) {
-        inbound_[key] = Span{inbound_flat_.size(), row.size()};
-        inbound_flat_.insert(inbound_flat_.end(), row.begin(), row.end());
-      }
-      // Per-node RNG streams, keyed by global id (see BorderMode).
-      mac_rng_.reserve(n_);
-      rx_rng_.reserve(n_);
-      for (std::size_t l = 0; l < n_; ++l) {
-        mac_rng_.emplace_back(
-            par::derive_seed(border_.root_seed, 1, node_id_[l]));
-        rx_rng_.emplace_back(
-            par::derive_seed(border_.root_seed, 2, node_id_[l]));
-      }
+    }
+    inbound_flat_.reserve(inbound_rows.size());
+    for (auto& [key, row] : inbound_rows) {
+      inbound_[key] = Span{inbound_flat_.size(), row.size()};
+      inbound_flat_.insert(inbound_flat_.end(), row.begin(), row.end());
+    }
+    mac_rng_.reserve(n_);
+    rx_rng_.reserve(n_);
+    for (std::size_t l = 0; l < n_; ++l) {
+      mac_rng_.emplace_back(par::derive_seed(root, 1, node_id_[l]));
+      rx_rng_.emplace_back(par::derive_seed(root, 2, node_id_[l]));
     }
 
     // Station state (SoA) and the shard's flows, ascending by global
@@ -417,13 +363,9 @@ class Engine {
     }
     n_flows_ = flow_id_.size();
     result_.flows.resize(n_flows_);
-    if (border_.enabled) {
-      arrival_rng_.reserve(n_flows_);
-      for (std::size_t f = 0; f < n_flows_; ++f) {
-        arrival_rng_.emplace_back(
-            par::derive_seed(border_.root_seed, 3, flow_id_[f]));
-      }
-    }
+    arrival_rng_.reserve(n_flows_);
+    for (std::size_t f = 0; f < n_flows_; ++f)
+      arrival_rng_.emplace_back(par::derive_seed(root, 3, flow_id_[f]));
 
     // All counters live in a metrics registry (the caller's, if given);
     // NetworkResult is populated from it after the run. Per-flow labels
@@ -462,7 +404,7 @@ class Engine {
         auc.flight_recorder_capacity =
             config.lifecycle.flight_recorder_capacity;
         auc.dump_path = config.lifecycle.flight_recorder_path;
-        if (!auc.dump_path.empty() && plan.shards.size() > 1)
+        if (!auc.dump_path.empty() && !fused_ && plan.shards.size() > 1)
           auc.dump_path += ".shard" + std::to_string(shard);
         auditor_ = std::make_unique<obs::InvariantAuditor>(auc);
         // Created up front so every shard registry has the same entries.
@@ -475,7 +417,7 @@ class Engine {
     rts_tx_ = &registry_->counter("net.rts_tx");
     rts_failures_ = &registry_->counter("net.rts_failures");
     simultaneous_starts_ = &registry_->counter("net.simultaneous_starts");
-    if (border_.enabled) {
+    if (plan.border) {
       // One count per (transmission, influenced tile); emitted at the
       // same TX-start instants in fused and per-tile runs, so totals
       // agree across modes and snapshots agree across --jobs.
@@ -577,9 +519,9 @@ class Engine {
   /// after the next epoch boundary by the lookahead's power-of-two
   /// rounding guarantee, so they are always in this engine's future.
   void inject_border(const BorderMsg& msg) {
-    add_influence(msg.start_s + border_.delay_s,
+    add_influence(msg.start_s + delay_s_,
                   InfluenceRec{msg.origin, msg.target_tile, 0, 0.0});
-    add_influence((msg.start_s + msg.duration_s) + border_.delay_s,
+    add_influence((msg.start_s + msg.duration_s) + delay_s_,
                   InfluenceRec{msg.origin, msg.target_tile, 1,
                                msg.nav_until_s});
   }
@@ -665,21 +607,8 @@ class Engine {
     if (auditor_) auditor_->record(e);
   }
 
-  // Border mode replaces the single sequential Rng with per-entity
-  // streams so the draw sequence does not depend on how nodes are split
-  // into engines; legacy modes keep the shared rng_ untouched.
-  Rng& mac_stream(std::size_t n) {
-    return border_.enabled ? mac_rng_[n] : rng_;
-  }
-  Rng& rx_stream(std::size_t n) {
-    return border_.enabled ? rx_rng_[n] : rng_;
-  }
-  Rng& arrival_stream(std::size_t n) {
-    return border_.enabled ? arrival_rng_[flow_of_[n]] : rng_;
-  }
-
   unsigned draw_backoff(std::size_t n) {
-    return static_cast<unsigned>(mac_stream(n).uniform_int(cw_[n] + 1));
+    return static_cast<unsigned>(mac_rng_[n].uniform_int(cw_[n] + 1));
   }
 
   /// Data-frame airtime at station `n`'s current rate.
@@ -759,7 +688,7 @@ class Engine {
   }
 
   void schedule_arrival(std::size_t n, double rate_pps) {
-    sched_.schedule(arrival_stream(n).exponential(1.0 / rate_pps),
+    sched_.schedule(arrival_rng_[flow_of_[n]].exponential(1.0 / rate_pps),
                     [this, n, rate_pps] {
       queue_[n].push_back(sched_.now());
       emit(obs::EventType::kArrival, n, kNone, flow_of_[n],
@@ -866,7 +795,7 @@ class Engine {
     });
   }
 
-  // ---- border influence (border_.enabled only) ----
+  // ---- border influence (cross-tile edges only) ----
 
   /// Queues one influence unit per tile this transmission couples into.
   /// Fused: the start/end records go straight onto the local influence
@@ -882,10 +811,10 @@ class Engine {
     for (std::size_t i = b; i < e; ++i) {
       const std::uint32_t tile = out_tile_[i];
       border_msgs_->add();
-      if (border_.fused) {
-        add_influence(sched_.now() + border_.delay_s,
+      if (fused_) {
+        add_influence(sched_.now() + delay_s_,
                       InfluenceRec{g, tile, 0, 0.0});
-        add_influence(end_s + border_.delay_s,
+        add_influence(end_s + delay_s_,
                       InfluenceRec{g, tile, 1, nav_until_s});
       } else {
         outbox_.push_back(
@@ -1045,7 +974,7 @@ class Engine {
     }
     emit(obs::EventType::kTxStart, n, dest, flow, duration_s,
          frame_name(kind), t.id);
-    if (border_.enabled) queue_influence(n, duration_s, t.end_s, nav_until_s);
+    queue_influence(n, duration_s, t.end_s, nav_until_s);
     const std::size_t id = t.id;
     const std::uint32_t slot = push_active(t);
     // Fold this signal into the running ambient sums of every neighbor
@@ -1119,7 +1048,7 @@ class Engine {
           // draw.
           const auto [key, flow] = per_key_of(t);
           const std::size_t n_real = per_pool_->link_realizations();
-          Rng& rx_rng = rx_stream(t.dest);
+          Rng& rx_rng = rx_rng_[t.dest];
           const auto j = static_cast<std::size_t>(rx_rng.uniform_int(n_real));
           const std::uint32_t table =
               link_tables_[(flow * per_pool_->n_keys() + key) * n_real + j];
@@ -1343,7 +1272,6 @@ class Engine {
   }
 
   NetworkConfig config_;
-  Rng& rng_;
   std::uint64_t frame_id_base_ = 0;
   mac::MacTiming timing_{};
   sim::Scheduler sched_;
@@ -1426,8 +1354,9 @@ class Engine {
   };
   std::vector<RateStats> rate_stats_;
   NetworkResult result_;
-  // ---- border exchange (border_.enabled only; empty otherwise) ----
-  BorderMode border_;
+  // ---- border exchange (empty without cross-tile edges) ----
+  bool fused_ = false;    // one engine simulates every shard (reference)
+  double delay_s_ = 0.0;  // cross-tile influence delay = plan lookahead
   std::size_t n_tiles_ = 0;
   struct Span {
     std::size_t off = 0;
@@ -1444,11 +1373,11 @@ class Engine {
   std::map<double, std::vector<InfluenceRec>> influence_;
   std::vector<BorderMsg> outbox_;
   std::vector<std::uint32_t> affected_;  // apply-time scratch
-  // Per-entity RNG streams (see BorderMode::root_seed).
+  obs::Counter* border_msgs_ = nullptr;
+  // Per-entity RNG streams (see the class comment).
   std::vector<Rng> mac_rng_;
   std::vector<Rng> rx_rng_;
   std::vector<Rng> arrival_rng_;
-  obs::Counter* border_msgs_ = nullptr;
 };
 
 void validate_network(const std::vector<NodeConfig>& nodes,
@@ -1620,18 +1549,8 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
                                          : options.jobs);
   const unsigned lanes = pool.size();
 
-  BorderMode mode;
-  mode.enabled = true;
-  mode.delay_s = lookahead;
-  mode.root_seed = root;
-
-  // Border engines draw only from derived per-entity streams, so
-  // construction commutes and can run on the pool. The per-engine Rngs
-  // exist only to satisfy the constructor reference; never drawn.
-  std::vector<Rng> shard_rngs;
-  shard_rngs.reserve(n_tiles);
-  for (std::size_t s = 0; s < n_tiles; ++s)
-    shard_rngs.emplace_back(par::derive_seed(root, s, 0));
+  // Engines draw only from streams derived from `root`, so
+  // construction commutes and can run on the pool.
   std::vector<ShardOutput> outputs(n_tiles);
   std::vector<std::unique_ptr<Engine>> engines(n_tiles);
   std::optional<PerTablePool> per_pool;
@@ -1643,10 +1562,9 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
       for (std::size_t s = b; s < e; ++s) {
         outputs[s].registry = std::make_unique<obs::Registry>();
         engines[s] = std::make_unique<Engine>(
-            config, nodes, flows, plan, s, shard_rngs[s],
+            config, nodes, flows, plan, s, root,
             per_pool ? &*per_pool : nullptr, outputs[s].registry.get(),
-            synced ? &*synced : nullptr, static_cast<std::uint64_t>(s) << 40,
-            mode);
+            synced ? &*synced : nullptr, static_cast<std::uint64_t>(s) << 40);
       }
     });
   }
@@ -1763,27 +1681,86 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
   return total;
 }
 
+/// One engine on the calling thread: any one-shard plan (the monolith
+/// included) and the fused reference over every shard of a larger plan.
+/// The PER-table pool is built serially — the call owns no worker pool.
+NetworkResult run_single_engine(const NetworkConfig& config,
+                                const std::vector<NodeConfig>& nodes,
+                                const std::vector<Flow>& flows,
+                                const ShardPlan& plan, std::uint64_t root) {
+  std::optional<PerTablePool> per_pool;
+  std::optional<Engine> engine;
+  {
+    const obs::perf::ScopedSpan span("net.setup");
+    per_pool = make_per_pool(config, flows.size(), per_pool_root(root),
+                             nullptr);
+    engine.emplace(config, nodes, flows, plan, kAllShards, root,
+                   per_pool ? &*per_pool : nullptr, config.registry,
+                   config.trace, 0);
+  }
+  NetworkResult result = engine->run();
+  if (plan.border) {
+    result.border.tiles = plan.shards.size();
+    result.border.lookahead_s = plan.lookahead_s;
+  }
+  return result;
+}
+
+/// Component sweep: the shards share no edge, so each runs to completion
+/// on its own engine — constructed, run and finalized inside one pool
+/// task, so at most one engine per lane is alive — and the outputs merge
+/// in shard order, bitwise identically for any worker count.
+NetworkResult run_component_sweep(const NetworkConfig& config,
+                                  const std::vector<NodeConfig>& nodes,
+                                  const std::vector<Flow>& flows,
+                                  const ShardPlan& plan,
+                                  const ShardOptions& options,
+                                  std::uint64_t root) {
+  // One synchronized wrapper shared by every shard; the caller's sink is
+  // never touched from two threads at once.
+  std::optional<obs::SynchronizedTraceSink> synced;
+  if (config.trace) synced.emplace(*config.trace);
+
+  // The PER-table pool is built first, on the same lanes, and shared
+  // read-only by every shard.
+  par::SweepOptions opt;
+  opt.jobs = options.jobs;
+  std::unique_ptr<par::ThreadPool> owned_pool;
+  par::ThreadPool& pool = par::detail::select_pool(opt, owned_pool);
+  std::optional<PerTablePool> per_pool;
+  {
+    const obs::perf::ScopedSpan span("net.setup");
+    per_pool = make_per_pool(config, flows.size(), per_pool_root(root), &pool);
+  }
+  // par::map's per-index Rng goes unused: engines draw only from `root`.
+  std::vector<ShardOutput> outputs = par::map(
+      pool, plan.shards.size(), opt, [&](std::size_t s, Rng&) {
+        ShardOutput out;
+        out.registry = std::make_unique<obs::Registry>();
+        std::optional<Engine> engine;
+        {
+          const obs::perf::ScopedSpan span("net.setup");
+          engine.emplace(config, nodes, flows, plan, s, root,
+                         per_pool ? &*per_pool : nullptr, out.registry.get(),
+                         synced ? &*synced : nullptr,
+                         static_cast<std::uint64_t>(s) << 40);
+        }
+        out.result = engine->run();
+        out.node_ids = engine->node_ids();
+        out.flow_ids = engine->flow_ids();
+        return out;
+      });
+  return merge_shard_outputs(config, nodes.size(), flows.size(), outputs);
+}
+
 }  // namespace
 
 NetworkResult simulate_network(const NetworkConfig& config,
                                const std::vector<NodeConfig>& nodes,
                                const std::vector<Flow>& flows, Rng& rng) {
-  validate_network(nodes, flows);
-  std::optional<PerTablePool> per_pool;
-  std::optional<Engine> engine;
-  {
-    // Topology, rate tables, and (with an error model) the frozen fading
-    // tables — often a visible share of short runs.
-    const obs::perf::ScopedSpan span("net.setup");
-    ShardOptions monolithic;
-    monolithic.cutoff_margin_db = std::numeric_limits<double>::infinity();
-    const ShardPlan plan = plan_shards(config, nodes, monolithic);
-    per_pool = make_single_engine_pool(config, flows.size(), rng);
-    engine.emplace(config, nodes, flows, plan, 0, rng,
-                   per_pool ? &*per_pool : nullptr, config.registry,
-                   config.trace, 0);
-  }
-  return engine->run();
+  ShardOptions monolithic;
+  monolithic.cutoff_margin_db = std::numeric_limits<double>::infinity();
+  return simulate_network_sharded(config, nodes, flows, monolithic, rng);
 }
 
 NetworkResult simulate_network_sharded(const NetworkConfig& config,
@@ -1799,112 +1776,35 @@ NetworkResult simulate_network_sharded(const NetworkConfig& config,
     plan = &local_plan;
   }
 
-  if (plan->border) {
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      check(plan->shard_of[flows[f].source] ==
-                plan->shard_of[flows[f].destination],
-            "border plan left flow " + std::to_string(f) +
-                " crossing tiles; pass the flows to plan_shards so "
-                "endpoint clusters share a tile");
-    }
-    // The same single draw as the component sweep: both paths consume
-    // one u64 from the caller's rng, so switching modes never shifts
-    // the caller's stream.
-    const std::uint64_t root = rng.next_u64();
-    if (options.border_reference || plan->shards.size() == 1) {
-      // Fused reference: one engine over every tile, same derived
-      // per-entity streams, influence records looped back locally —
-      // the bitwise ground truth for the lockstep exchange.
-      BorderMode mode;
-      mode.enabled = true;
-      mode.fused = true;
-      mode.delay_s = plan->lookahead_s;
-      mode.root_seed = root;
-      std::optional<PerTablePool> per_pool;
-      std::optional<Engine> engine;
-      {
-        const obs::perf::ScopedSpan span("net.setup");
-        per_pool = make_per_pool(config, flows.size(), per_pool_root(root),
-                                 nullptr);
-        engine.emplace(config, nodes, flows, *plan, 0, rng,
-                       per_pool ? &*per_pool : nullptr, config.registry,
-                       config.trace, 0, mode);
-      }
-      NetworkResult result = engine->run();
-      result.border.tiles = plan->shards.size();
-      result.border.lookahead_s = plan->lookahead_s;
-      return result;
-    }
-    return run_border_exchange(config, nodes, flows, *plan, options, root);
-  }
-
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const Flow& flow = flows[f];
-    check(plan->shard_of[flow.source] == plan->shard_of[flow.destination],
-          "flow " + std::to_string(f) + " (" + std::to_string(flow.source) +
-              " -> " + std::to_string(flow.destination) +
-              ") spans shards " +
-              std::to_string(plan->shard_of[flow.source]) + " and " +
-              std::to_string(plan->shard_of[flow.destination]) +
-              "; component sharding cannot couple them — widen "
-              "cutoff_margin_db or enable ShardOptions::border");
+    const std::uint32_t src_shard = plan->shard_of[flow.source];
+    const std::uint32_t dst_shard = plan->shard_of[flow.destination];
+    if (src_shard == dst_shard) continue;
+    check(false,
+          plan->border
+              ? "border plan left flow " + std::to_string(f) +
+                    " crossing tiles; pass the flows to plan_shards so "
+                    "endpoint clusters share a tile"
+              : "flow " + std::to_string(f) + " (" +
+                    std::to_string(flow.source) + " -> " +
+                    std::to_string(flow.destination) + ") spans shards " +
+                    std::to_string(src_shard) + " and " +
+                    std::to_string(dst_shard) +
+                    "; component sharding cannot couple them — widen "
+                    "cutoff_margin_db or enable ShardOptions::border");
   }
 
-  const std::size_t n_shards = plan->shards.size();
-  if (n_shards == 1) {
-    // Degenerate plan: run inline on the caller's rng — bitwise the
-    // monolithic simulation.
-    std::optional<PerTablePool> per_pool;
-    std::optional<Engine> engine;
-    {
-      const obs::perf::ScopedSpan span("net.setup");
-      per_pool = make_single_engine_pool(config, flows.size(), rng);
-      engine.emplace(config, nodes, flows, *plan, 0, rng,
-                     per_pool ? &*per_pool : nullptr, config.registry,
-                     config.trace, 0);
-    }
-    return engine->run();
-  }
-
-  // One synchronized wrapper shared by every shard; the caller's sink is
-  // never touched from two threads at once.
-  std::optional<obs::SynchronizedTraceSink> synced;
-  if (config.trace) synced.emplace(*config.trace);
-
-  // One derived Rng per shard from a single root draw — the sweep is a
-  // pure function of the caller's rng state and the plan, bitwise
-  // identical for any worker count. The PER-table pool is built first,
-  // on the same lanes, and shared read-only by every shard.
+  // Exactly one draw from the caller's rng in every mode: every engine
+  // derives all of its streams from this root, so switching modes never
+  // shifts the caller's stream and no mode's result depends on how the
+  // nodes are grouped into engines.
   const std::uint64_t root = rng.next_u64();
-  par::SweepOptions opt;
-  opt.root_seed = root;
-  opt.jobs = options.jobs;
-  std::unique_ptr<par::ThreadPool> owned_pool;
-  par::ThreadPool& pool = par::detail::select_pool(opt, owned_pool);
-  std::optional<PerTablePool> per_pool;
-  {
-    const obs::perf::ScopedSpan span("net.setup");
-    per_pool = make_per_pool(config, flows.size(), per_pool_root(root), &pool);
-  }
-  std::vector<ShardOutput> outputs =
-      par::map(pool, n_shards, opt, [&](std::size_t s, Rng& shard_rng) {
-        ShardOutput out;
-        out.registry = std::make_unique<obs::Registry>();
-        std::optional<Engine> engine;
-        {
-          const obs::perf::ScopedSpan span("net.setup");
-          engine.emplace(config, nodes, flows, *plan, s, shard_rng,
-                         per_pool ? &*per_pool : nullptr, out.registry.get(),
-                         synced ? &*synced : nullptr,
-                         static_cast<std::uint64_t>(s) << 40);
-        }
-        out.result = engine->run();
-        out.node_ids = engine->node_ids();
-        out.flow_ids = engine->flow_ids();
-        return out;
-      });
-
-  return merge_shard_outputs(config, nodes.size(), flows.size(), outputs);
+  if (options.border_reference || plan->shards.size() == 1)
+    return run_single_engine(config, nodes, flows, *plan, root);
+  if (plan->border)
+    return run_border_exchange(config, nodes, flows, *plan, options, root);
+  return run_component_sweep(config, nodes, flows, *plan, options, root);
 }
 
 std::vector<NetworkResult> simulate_network_batch(

@@ -75,10 +75,10 @@ struct NetworkConfig {
   double duration_s = 1.0;
 
   /// Reception decision model (net/errormodel.h). The default keeps the
-  /// legacy hard SINR threshold and consumes no extra RNG draws, so
-  /// existing seeded runs stay bitwise identical. `kPerModel` swaps in
-  /// the EESM/PER abstraction: per-link fading dictionaries, calibrated
-  /// AWGN curves scaled to each frame's true size, Bernoulli reception.
+  /// hard SINR threshold and draws nothing for reception. `kPerModel`
+  /// swaps in the EESM/PER abstraction: per-link indices into the call's
+  /// shared PER-table pool, calibrated AWGN curves scaled to each frame's
+  /// true size, Bernoulli reception.
   ErrorModelConfig error_model;
   /// Data-rate control for flow sources (kArf needs kPerModel + OFDM).
   RateControlMode rate_control = RateControlMode::kFixed;
@@ -207,7 +207,12 @@ struct NetworkResult {
   }
 };
 
-/// Runs the network. Node indices in flows refer to `nodes`.
+/// Runs the network. Node indices in flows refer to `nodes`. Every call
+/// consumes exactly one draw from `rng` — the root every per-node,
+/// per-flow and per-pair stream of the run derives from — whatever the
+/// network's size or reception model. Equivalent to
+/// `simulate_network_sharded` on the unbounded one-shard plan
+/// (net/shard.h).
 NetworkResult simulate_network(const NetworkConfig& config,
                                const std::vector<NodeConfig>& nodes,
                                const std::vector<Flow>& flows, Rng& rng);

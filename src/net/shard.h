@@ -23,13 +23,20 @@
 //  4. Shards. Connected components of the coupling graph. Two nodes in
 //     different components cannot exchange any above-cutoff power, so
 //     each component simulates independently: private event queue,
-//     private Rng (par::derive_seed), private obs::Registry — merged
-//     in shard order, bitwise identically for any worker count.
+//     private obs::Registry — merged in shard order, bitwise
+//     identically for any worker count.
 //
 // `cutoff_margin_db = +infinity` disables the cutoff: every pair is
-// coupled, the plan is one shard, and the engine reproduces the
-// monolithic simulation exactly — `simulate_network` itself runs on
+// coupled and the plan is one shard — `simulate_network` itself runs on
 // that degenerate plan.
+//
+// One RNG discipline serves every mode: a call takes exactly one draw
+// from the caller's Rng as its root, and every engine draws only from
+// streams derived from that root by global node, flow or pair id. A
+// node's randomness therefore does not depend on which engine runs it,
+// so a run's results do not depend on how its nodes are grouped into
+// engines: any plan's run equals one engine over every shard of the
+// same plan (`ShardOptions::border_reference`) bitwise.
 //
 // Border mode (`ShardOptions::border`) handles the case components
 // cannot: one giant connected deployment. Instead of components, nodes
@@ -75,9 +82,11 @@ struct ShardOptions {
   /// slot time + minimum cross-tile coupled distance. Either way the
   /// value is rounded down to a power of two seconds.
   double border_delay_s = 0.0;
-  /// Run the border semantics on a single fused engine instead of
-  /// per-tile engines (same tile assignment, same RNG streams, same
-  /// delayed influence). The reference for bitwise-equivalence tests.
+  /// Run the plan on one fused engine over every shard instead of one
+  /// engine per shard (same shard assignment, same RNG streams, and on a
+  /// border plan the same delayed cross-tile influence). Valid on any
+  /// plan; the bitwise reference for the component sweep and the
+  /// lockstep border exchange alike.
   bool border_reference = false;
 };
 
@@ -179,18 +188,18 @@ ShardPlan plan_shards(const NetworkConfig& config,
 /// Runs the network sharded: plans (unless `plan` is supplied), checks
 /// every flow's endpoints share a shard (throws ContractError
 /// otherwise — widen `cutoff_margin_db` or enable `options.border`),
-/// then simulates each shard independently on the worker pool under
-/// Rng(par::derive_seed(rng.next_u64(), shard, 0)) with a private
-/// registry, and merges results, registries (into `config.registry`),
-/// airtime and lifecycle books in shard order. A single-shard plan
-/// runs inline on the caller's `rng` and is bitwise identical to
-/// `simulate_network`. Results are bitwise identical for any
-/// `options.jobs`.
+/// takes exactly one draw from `rng` as the call's root (see the header
+/// comment), then simulates each shard independently on the worker pool
+/// with a private registry, and merges results, registries (into
+/// `config.registry`), airtime and lifecycle books in shard order. A
+/// single-shard plan, or any plan with `options.border_reference`, runs
+/// as one engine on the calling thread. Flow stats and counters are
+/// bitwise identical for any `options.jobs` and to that one-engine
+/// reference; a single-shard plan whose edges match the monolith's is
+/// bitwise identical to `simulate_network`.
 ///
 /// With `options.border` the shards are coupled spatial tiles run in
-/// conservative-time lockstep epochs (see the header comment); results
-/// are bitwise identical at any `options.jobs` and to the fused
-/// single-engine reference (`options.border_reference`).
+/// conservative-time lockstep epochs (see the header comment).
 NetworkResult simulate_network_sharded(const NetworkConfig& config,
                                        const std::vector<NodeConfig>& nodes,
                                        const std::vector<Flow>& flows,

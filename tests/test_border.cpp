@@ -281,9 +281,10 @@ TEST(BorderEquivalence, HiddenTerminalsAcrossTheBorder) {
   EXPECT_GT(tiled.flows[1].delivered, 0u);
   EXPECT_GT(tiled.data_failures, 0u);
 
-  // Qualitative agreement with the true monolith (shared-stream RNG
-  // discipline, immediate influence — NOT bitwise comparable): same
-  // collision regime, same order of magnitude of goodput.
+  // Qualitative agreement with the true monolith (the same per-entity
+  // RNG streams, but immediate cross-tile influence — NOT bitwise
+  // comparable): same collision regime, same order of magnitude of
+  // goodput.
   net::NetworkConfig mono_cfg = cfg;
   Rng mono_rng(7);
   const auto mono =

@@ -1,11 +1,15 @@
-// The spatially sharded network engine: planner geometry, shard-vs-
-// monolith bitwise equivalence, thread-count-independent merges, and
-// the event-bookkeeping fixes that scaling flushed out.
+// The spatially sharded network engine: planner geometry, one bitwise
+// equivalence suite over every run mode (monolith, component sweep,
+// border tiles vs the fused one-engine reference), thread-count-
+// independent merges, and the event-bookkeeping fixes that scaling
+// flushed out.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,8 +22,8 @@
 #include "net/errormodel.h"
 #include "net/netsim.h"
 #include "net/shard.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
-#include "par/montecarlo.h"
 #include "par/pool.h"
 
 namespace wlan {
@@ -56,8 +60,10 @@ Deployment make_grid(std::size_t bss_grid, double spacing_m,
   return d;
 }
 
-/// The 63-node bench_multibss geometry (same physics-driven sizing).
-Deployment multibss63(const net::NetworkConfig& cfg) {
+/// The 63-node bench_multibss geometry (same physics-driven sizing),
+/// optionally reporting its BSS spacing.
+Deployment multibss63(const net::NetworkConfig& cfg,
+                      double* spacing_out = nullptr) {
   double radius_m = 5.0;
   while (snr_at_distance_db(cfg.pathloss, radius_m * 1.3, 17.0,
                             cfg.bandwidth_hz) > 34.0) {
@@ -71,6 +77,7 @@ Deployment multibss63(const net::NetworkConfig& cfg) {
          cs_snr_db) {
     spacing_m *= 1.1;
   }
+  if (spacing_out) *spacing_out = spacing_m;
   return make_grid(3, spacing_m, 6, radius_m);
 }
 
@@ -102,6 +109,33 @@ void expect_flows_bitwise(const net::NetworkResult& a,
   EXPECT_EQ(a.rts_tx_count, b.rts_tx_count);
   EXPECT_EQ(a.rts_failures, b.rts_failures);
   EXPECT_EQ(a.simultaneous_starts, b.simultaneous_starts);
+}
+
+/// Every model counter of a registry snapshot, keyed by name and labels.
+/// A counter that one registry lacks reads as zero in it. The scheduler's
+/// own `sim.` instruments count per-engine work (the fused reference
+/// applies all influence records of one instant in one event, a tile
+/// engine only its own) and are left out.
+std::map<std::string, double> counters_of(const obs::Registry& reg) {
+  std::map<std::string, double> out;
+  const obs::JsonValue doc = obs::JsonValue::parse(reg.snapshot_json());
+  for (const obs::JsonValue& c : doc.at("counters").items()) {
+    std::string key = c.at("name").as_string();
+    if (key.rfind("sim.", 0) == 0) continue;
+    for (const auto& [k, v] : c.at("labels").members())
+      key += " " + k + "=" + v.as_string();
+    if (c.at("value").as_number() != 0.0) out[key] = c.at("value").as_number();
+  }
+  return out;
+}
+
+/// Model counters bitwise equal.
+void expect_counters_equal(const obs::Registry& a, const obs::Registry& b) {
+  std::map<std::string, double> ca = counters_of(a);
+  std::map<std::string, double> cb = counters_of(b);
+  EXPECT_FALSE(ca.empty());
+  for (const auto& [key, value] : ca) EXPECT_EQ(value, cb[key]) << key;
+  for (const auto& [key, value] : cb) EXPECT_EQ(ca[key], value) << key;
 }
 
 // --- Planner geometry ------------------------------------------------
@@ -197,36 +231,6 @@ TEST(ShardEquivalence, Multibss63BitwiseIdenticalToMonolith) {
   }
 }
 
-TEST(ShardEquivalence, HiddenTerminalTriangleBitwiseIdentical) {
-  const auto setup = net::make_hidden_terminal_setup(80.0);
-  net::NetworkConfig cfg;
-  cfg.duration_s = 0.5;
-  cfg.rts_cts = false;
-
-  obs::Registry mono_reg;
-  cfg.registry = &mono_reg;
-  Rng mono_rng(7);
-  const auto mono = simulate_network(cfg, setup.nodes, setup.flows, mono_rng);
-
-  // At 80 m spacing every pair stays above the default cutoff, so even
-  // the bounded plan is a single shard and must reproduce the monolith
-  // bitwise (it runs inline on the caller's rng).
-  for (const double margin : {kInf, 15.0}) {
-    obs::Registry shard_reg;
-    cfg.registry = &shard_reg;
-    net::ShardOptions opt;
-    opt.cutoff_margin_db = margin;
-    opt.jobs = 8;
-    Rng rng(7);
-    const net::ShardPlan plan = net::plan_shards(cfg, setup.nodes, opt);
-    ASSERT_EQ(plan.shards.size(), 1u);
-    const auto sharded = net::simulate_network_sharded(
-        cfg, setup.nodes, setup.flows, opt, rng, &plan);
-    expect_flows_bitwise(mono, sharded);
-    EXPECT_EQ(mono_reg.snapshot_json(), shard_reg.snapshot_json());
-  }
-}
-
 /// Two multibss cells 5 km apart: a genuinely multi-shard run.
 Deployment two_cells(const net::NetworkConfig& cfg) {
   Deployment d = multibss63(cfg);
@@ -276,6 +280,212 @@ TEST(ShardEquivalence, MultiShardRunIsThreadCountInvariant) {
   EXPECT_EQ(r8.lifecycle.breaches, 0u);
 }
 
+// --- One equivalence suite over every run mode ----------------------
+
+/// Two saturated pairs whose mutually hidden senders straddle a 40 m
+/// tile border, so every collision is caused by remote influence.
+Deployment hidden_pairs() {
+  Deployment d;
+  d.nodes.push_back({{0.0, 0.0}});   // 0: sender A (tile 0)
+  d.nodes.push_back({{80.0, 0.0}});  // 1: sender B (tile 2)
+  d.nodes.push_back({{35.0, 0.0}});  // 2: receiver A (tile 0)
+  d.nodes.push_back({{45.0, 0.0}});  // 3: receiver B (clustered to B)
+  d.flows.push_back({0, 2});
+  d.flows.push_back({1, 3});
+  return d;
+}
+
+/// PER reception with shadowing, ARF and RTS: every per-entity stream
+/// (backoff, reception, pair shadowing, pool table indices) is drawn.
+net::NetworkConfig per_config(double duration_s) {
+  net::NetworkConfig cfg;
+  cfg.duration_s = duration_s;
+  cfg.rts_cts = true;
+  cfg.error_model.model = net::RxModel::kPerModel;
+  cfg.error_model.shadowing_sigma_db = 4.0;
+  cfg.error_model.realizations = 8;
+  cfg.rate_control = net::RateControlMode::kArf;
+  cfg.lifecycle.enabled = true;
+  return cfg;
+}
+
+enum class PlanKind { kMonolith, kComponents, kBorderGrid, kHiddenPair };
+
+struct PlanCase {
+  net::NetworkConfig cfg;
+  Deployment d;
+  net::ShardOptions opt;
+  std::size_t min_shards = 1;
+};
+
+PlanCase make_case(PlanKind kind) {
+  PlanCase c;
+  switch (kind) {
+    case PlanKind::kMonolith:
+      c.cfg = per_config(0.2);
+      c.d = multibss63(c.cfg);
+      c.opt = monolithic();
+      break;
+    case PlanKind::kComponents:
+      c.cfg = per_config(0.2);
+      c.cfg.airtime = true;
+      c.d = two_cells(c.cfg);
+      c.min_shards = 2;
+      break;
+    case PlanKind::kBorderGrid: {
+      c.cfg = per_config(0.05);
+      double spacing = 0.0;
+      c.d = multibss63(c.cfg, &spacing);
+      c.opt.border = true;
+      c.opt.border_tile_m = spacing;
+      c.min_shards = 4;
+      break;
+    }
+    case PlanKind::kHiddenPair:
+      c.cfg.duration_s = 0.2;
+      c.cfg.lifecycle.enabled = true;
+      c.d = hidden_pairs();
+      c.opt.border = true;
+      c.opt.border_tile_m = 40.0;
+      c.min_shards = 2;
+      break;
+  }
+  return c;
+}
+
+class ModeEquivalence
+    : public ::testing::TestWithParam<std::tuple<PlanKind, unsigned>> {};
+
+// Every mode runs the same engine on streams derived by global id from
+// one caller draw, so any plan's run equals ONE engine over all of its
+// shards — the fused reference — bitwise, at any jobs count.
+TEST_P(ModeEquivalence, MatchesFusedReference) {
+  const auto [kind, jobs] = GetParam();
+  PlanCase c = make_case(kind);
+  const net::ShardPlan plan =
+      net::plan_shards(c.cfg, c.d.nodes, c.opt, &c.d.flows);
+  ASSERT_GE(plan.shards.size(), c.min_shards);
+  if (kind == PlanKind::kMonolith) {
+    ASSERT_EQ(plan.shards.size(), 1u);
+  }
+
+  obs::Registry ref_reg;
+  c.cfg.registry = &ref_reg;
+  net::ShardOptions ref_opt = c.opt;
+  ref_opt.border_reference = true;
+  Rng ref_rng(11);
+  const auto ref = net::simulate_network_sharded(c.cfg, c.d.nodes, c.d.flows,
+                                                 ref_opt, ref_rng, &plan);
+  EXPECT_GT(ref.total_delivered, 0u);
+  EXPECT_EQ(ref.lifecycle.breaches, 0u);
+
+  const auto run_at = [&](unsigned lanes, obs::Registry& reg) {
+    c.cfg.registry = &reg;
+    net::ShardOptions opt = c.opt;
+    opt.jobs = lanes;
+    Rng rng(11);
+    return net::simulate_network_sharded(c.cfg, c.d.nodes, c.d.flows, opt,
+                                         rng, &plan);
+  };
+  obs::Registry reg;
+  const auto run = run_at(jobs, reg);
+  expect_flows_bitwise(ref, run);
+  expect_counters_equal(ref_reg, reg);
+  EXPECT_EQ(run.lifecycle.breaches, 0u);
+  if (plan.border) {
+    EXPECT_GT(run.border.messages, 0u);
+  } else {
+    // Without influence records every engine executes exactly its own
+    // nodes' events.
+    EXPECT_EQ(ref_reg.find_counter("sim.events_executed")->value(),
+              reg.find_counter("sim.events_executed")->value());
+  }
+
+  // The merged snapshot, gauges and occupancy histograms included, is
+  // byte-equal to the one-lane run's.
+  if (jobs != 1) {
+    obs::Registry reg1;
+    run_at(1, reg1);
+    EXPECT_EQ(reg1.snapshot_json(), reg.snapshot_json());
+  }
+
+  // The monolith is simulate_network's own plan.
+  if (kind == PlanKind::kMonolith) {
+    obs::Registry mono_reg;
+    c.cfg.registry = &mono_reg;
+    Rng mono_rng(11);
+    const auto mono =
+        net::simulate_network(c.cfg, c.d.nodes, c.d.flows, mono_rng);
+    expect_flows_bitwise(ref, mono);
+    EXPECT_EQ(ref_reg.snapshot_json(), mono_reg.snapshot_json());
+    EXPECT_EQ(reg.snapshot_json(), mono_reg.snapshot_json());
+  }
+}
+
+std::string case_name(
+    const ::testing::TestParamInfo<ModeEquivalence::ParamType>& info) {
+  static const char* const kNames[] = {"monolith", "components",
+                                       "border_grid", "hidden_pair"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         "_jobs" + std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PlanKinds, ModeEquivalence,
+    ::testing::Combine(::testing::Values(PlanKind::kMonolith,
+                                         PlanKind::kComponents,
+                                         PlanKind::kBorderGrid,
+                                         PlanKind::kHiddenPair),
+                       ::testing::Values(1u, 8u)),
+    case_name);
+
+TEST(ShardEquivalence, MonolithEqualsEveryOneShardPlan) {
+  // At 80 m spacing every pair of the triangle clears the default
+  // cutoff, so a component plan and a coarse border plan both hold the
+  // monolith's complete graph in one shard, and each run equals
+  // simulate_network under the same caller seed, under threshold and
+  // PER reception alike.
+  const auto setup = net::make_hidden_terminal_setup(80.0);
+  net::ShardOptions component;
+  net::ShardOptions border_tiled;
+  border_tiled.border = true;
+  border_tiled.border_tile_m = 1000.0;
+  net::ShardOptions border_fused = border_tiled;
+  border_fused.border_reference = true;
+  for (const bool per : {false, true}) {
+    net::NetworkConfig cfg;
+    if (per) cfg = per_config(0.0);
+    cfg.duration_s = 0.5;
+    obs::Registry mono_reg;
+    cfg.registry = &mono_reg;
+    Rng mono_rng(7);
+    const auto mono =
+        simulate_network(cfg, setup.nodes, setup.flows, mono_rng);
+    EXPECT_GT(mono.total_delivered, 0u);
+
+    for (const net::ShardOptions& base :
+         {component, border_fused, border_tiled}) {
+      net::ShardOptions opt = base;
+      opt.jobs = 8;
+      const net::ShardPlan plan =
+          net::plan_shards(cfg, setup.nodes, opt, &setup.flows);
+      ASSERT_EQ(plan.shards.size(), 1u);
+      ASSERT_EQ(plan.n_edges(), 6u);
+      obs::Registry reg;
+      cfg.registry = &reg;
+      Rng rng(7);
+      const auto r = net::simulate_network_sharded(
+          cfg, setup.nodes, setup.flows, opt, rng, &plan);
+      expect_flows_bitwise(mono, r);
+      expect_counters_equal(mono_reg, reg);
+      // A border plan adds only its (zero) border-message counter.
+      if (!opt.border) {
+        EXPECT_EQ(mono_reg.snapshot_json(), reg.snapshot_json());
+      }
+    }
+  }
+}
+
 TEST(ShardEquivalence, ShardZeroMatchesMonolithOfItsSubset) {
   net::NetworkConfig cfg;
   cfg.duration_s = 0.2;
@@ -288,18 +498,15 @@ TEST(ShardEquivalence, ShardZeroMatchesMonolithOfItsSubset) {
   const auto sharded =
       net::simulate_network_sharded(cfg, d.nodes, d.flows, opt, rng);
 
-  // Shard 0 ran under Rng(derive_seed(root, 0, 0)) where root is the
-  // first draw off the caller's rng; its members are exactly cell 0,
-  // whose local indices equal the global ones. A monolithic run of that
-  // subset under the same derived rng must agree bitwise.
-  Rng replay(99);
-  const std::uint64_t root = replay.next_u64();
-  Rng shard0_rng(par::derive_seed(root, 0, 0));
+  // Shard 0's members are exactly cell 0, whose global node and flow ids
+  // equal its ids in a run of the subset alone, so every stream they
+  // draw from is the same under the same caller seed.
+  Rng mono_rng(99);
   const std::vector<net::NodeConfig> sub_nodes(
       d.nodes.begin(), d.nodes.begin() + cell_nodes);
   const std::vector<net::Flow> sub_flows(d.flows.begin(),
                                          d.flows.begin() + cell_flows);
-  const auto mono = simulate_network(cfg, sub_nodes, sub_flows, shard0_rng);
+  const auto mono = simulate_network(cfg, sub_nodes, sub_flows, mono_rng);
   for (std::size_t f = 0; f < cell_flows; ++f) {
     EXPECT_EQ(sharded.flows[f].delivered, mono.flows[f].delivered);
     EXPECT_EQ(sharded.flows[f].attempts, mono.flows[f].attempts);
