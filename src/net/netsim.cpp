@@ -1468,10 +1468,12 @@ struct ShardOutput {
 /// Shard-order assembly shared by the component sweep and the border
 /// driver: scalar sums, global slot placement for per-flow stats,
 /// registry merge (merge order — not thread schedule — defines gauges
-/// and instrument creation order).
+/// and instrument creation order). Runs serially, timed by its own
+/// `net.merge` span under the caller's.
 NetworkResult merge_shard_outputs(const NetworkConfig& config,
                                   std::size_t n_nodes, std::size_t n_flows,
                                   const std::vector<ShardOutput>& outputs) {
+  const obs::perf::ScopedSpan span("net.merge");
   const std::size_t n_shards = outputs.size();
   NetworkResult total;
   total.flows.resize(n_flows);

@@ -4,12 +4,19 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <sstream>
+#include <tuple>
 
 #include "common/check.h"
 #include "obs/json.h"
 
 namespace wlan::obs {
+
+struct Histogram::FastBins {
+  std::uint64_t key_lo = 0;
+  std::vector<std::int16_t> cells;  // empty: every sample takes the slow path
+};
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi) {
@@ -20,24 +27,47 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   counts_.assign(bins, 0);
   min_ = std::numeric_limits<double>::infinity();
   max_ = -std::numeric_limits<double>::infinity();
-  build_fast_bins();
+  fast_table_ = shared_fast_bins(lo, hi, bins);
+  fast_bin_ = fast_table_->cells.data();
+  fast_bin_size_ = fast_table_->cells.size();
+  fast_key_lo_ = fast_table_->key_lo;
 }
 
-void Histogram::build_fast_bins() {
+std::shared_ptr<const Histogram::FastBins> Histogram::shared_fast_bins(
+    double lo, double hi, std::size_t bins) {
+  using Key = std::tuple<double, double, std::size_t>;
+  static std::mutex mutex;
+  static std::map<Key, std::shared_ptr<const FastBins>> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& table = cache[Key{lo, hi, bins}];
+  if (!table) {
+    table = std::make_shared<const FastBins>(build_fast_bins(lo, hi, bins));
+  }
+  return table;
+}
+
+Histogram::FastBins Histogram::build_fast_bins(double lo, double hi,
+                                               std::size_t bins) {
   const auto key_of = [](double x) {
     return std::bit_cast<std::uint64_t>(x) >> 46;
   };
-  const std::uint64_t key_lo = key_of(lo_);
-  const std::uint64_t key_hi = key_of(hi_);
-  if (key_hi <= key_lo) return;
+  FastBins table;
+  const std::uint64_t key_lo = key_of(lo);
+  const std::uint64_t key_hi = key_of(hi);
+  if (key_hi <= key_lo) return table;
   const std::uint64_t span = key_hi - key_lo + 1;
-  if (span > (std::uint64_t{1} << 14)) return;  // absurd range: slow path only
-  fast_key_lo_ = key_lo;
-  fast_bin_.assign(static_cast<std::size_t>(span), std::int16_t{-1});
-  if (counts_.size() > static_cast<std::size_t>(
-                           std::numeric_limits<std::int16_t>::max())) {
-    return;  // bin index would not fit the table cells
+  if (span > (std::uint64_t{1} << 14)) return table;  // absurd range
+  if (bins > static_cast<std::size_t>(
+                 std::numeric_limits<std::int16_t>::max())) {
+    return table;  // bin index would not fit the table cells
   }
+  // The constructor's expressions, so the table agrees bit for bit with
+  // record()'s slow path.
+  const double log_lo = std::log(lo);
+  const double inv_log_width =
+      static_cast<double>(bins) / (std::log(hi) - log_lo);
+  table.key_lo = key_lo;
+  table.cells.assign(static_cast<std::size_t>(span), std::int16_t{-1});
   // A cell qualifies only if every double inside it lands in the same
   // bin as both endpoints under record()'s exact expression, which holds
   // when the endpoint indices agree and both index fractions sit away
@@ -48,18 +78,19 @@ void Histogram::build_fast_bins() {
     const std::uint64_t key = key_lo + k;
     const double x0 = std::bit_cast<double>(key << 46);
     const double x1 = std::bit_cast<double>(((key + 1) << 46) - 1);
-    if (!(x0 >= lo_) || !(x0 > 0.0) || !(x1 < hi_)) continue;
-    const double f0 = (std::log(x0) - log_lo_) * inv_log_width_;
-    const double f1 = (std::log(x1) - log_lo_) * inv_log_width_;
+    if (!(x0 >= lo) || !(x0 > 0.0) || !(x1 < hi)) continue;
+    const double f0 = (std::log(x0) - log_lo) * inv_log_width;
+    const double f1 = (std::log(x1) - log_lo) * inv_log_width;
     const auto i0 = static_cast<std::size_t>(f0);
     const auto i1 = static_cast<std::size_t>(f1);
-    if (i0 != i1 || i0 >= counts_.size()) continue;
+    if (i0 != i1 || i0 >= bins) continue;
     const double m0 = f0 - std::floor(f0);
     const double m1 = f1 - std::floor(f1);
     if (m0 < kMargin || m0 > 1.0 - kMargin) continue;
     if (m1 < kMargin || m1 > 1.0 - kMargin) continue;
-    fast_bin_[static_cast<std::size_t>(k)] = static_cast<std::int16_t>(i0);
+    table.cells[static_cast<std::size_t>(k)] = static_cast<std::int16_t>(i0);
   }
+  return table;
 }
 
 void Histogram::record(double x) {
@@ -71,8 +102,8 @@ void Histogram::record(double x) {
   // zero, and out-of-range samples miss the key window and fall through.
   const std::uint64_t off = (std::bit_cast<std::uint64_t>(x) >> 46) -
                             fast_key_lo_;
-  if (off < fast_bin_.size()) {
-    const std::int16_t b = fast_bin_[static_cast<std::size_t>(off)];
+  if (off < fast_bin_size_) {
+    const std::int16_t b = fast_bin_[off];
     if (b >= 0) {
       ++counts_[static_cast<std::size_t>(b)];
       return;
@@ -97,8 +128,8 @@ void Histogram::record_n(double x, std::uint64_t n) {
   max_ = std::max(max_, x);
   const std::uint64_t off = (std::bit_cast<std::uint64_t>(x) >> 46) -
                             fast_key_lo_;
-  if (off < fast_bin_.size()) {
-    const std::int16_t b = fast_bin_[static_cast<std::size_t>(off)];
+  if (off < fast_bin_size_) {
+    const std::int16_t b = fast_bin_[off];
     if (b >= 0) {
       counts_[static_cast<std::size_t>(b)] += n;
       return;

@@ -52,6 +52,11 @@ class Gauge {
 /// Histogram with logarithmically spaced bins over [lo, hi), plus
 /// underflow/overflow buckets. Tracks exact min/max/sum so `mean()` is
 /// exact and percentiles clamp to observed extremes.
+///
+/// Every histogram of one binning (lo, hi, bins) shares one immutable
+/// bin-lookup table (see `fast_bin_`), so a histogram's own memory is
+/// its bin counts (~0.5 KB at 64 bins) and constructing one costs an
+/// allocation, not a table build. Copies and moves share the table too.
 class Histogram {
  public:
   /// `lo` and `hi` bound the log-spaced range (0 < lo < hi); `bins` is
@@ -101,8 +106,17 @@ class Histogram {
   std::uint64_t overflow() const { return overflow_; }
 
  private:
-  /// Precomputes fast_bin_ (see below). Called once from the ctor.
-  void build_fast_bins();
+  /// Immutable lookup table of one binning (defined in metrics.cpp).
+  struct FastBins;
+
+  /// Computes the table of (lo, hi, bins): a pure function of the
+  /// binning, ~3,400 `log` calls at the default 64-bin delay binning.
+  static FastBins build_fast_bins(double lo, double hi, std::size_t bins);
+  /// The process-wide table of (lo, hi, bins), built on first use and
+  /// kept for the process lifetime. Guarded by a mutex: pool workers
+  /// construct histograms concurrently.
+  static std::shared_ptr<const FastBins> shared_fast_bins(double lo, double hi,
+                                                          std::size_t bins);
 
   double lo_;
   double hi_;
@@ -114,8 +128,14 @@ class Histogram {
   // in the cell provably maps to that bin under the exact log-based
   // expression record() uses (endpoints agree and sit away from bin
   // boundaries), or -1 to take the slow path — so the fast path changes
-  // which instructions run, never which bin a sample lands in.
-  std::vector<std::int16_t> fast_bin_;
+  // which instructions run, never which bin a sample lands in. The
+  // table is shared per binning: `fast_table_` owns it, and `fast_bin_`
+  // / `fast_bin_size_` view its cells (empty when the range is too wide
+  // or the bin index would not fit a cell) so record() reads them with
+  // no extra indirection.
+  std::shared_ptr<const FastBins> fast_table_;
+  const std::int16_t* fast_bin_ = nullptr;
+  std::size_t fast_bin_size_ = 0;
   std::uint64_t fast_key_lo_ = 0;
   std::vector<std::uint64_t> counts_;
   std::uint64_t underflow_ = 0;

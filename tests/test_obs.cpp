@@ -3,10 +3,16 @@
 // network simulator's trace stream against its counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -217,6 +223,220 @@ TEST(Histogram, PercentileAllMassInUnderflowBin) {
   const double mid = h.percentile(50.0);
   EXPECT_GE(mid, 0.0);
   EXPECT_LE(mid, 0.5);
+}
+
+// ---- obs::Histogram shared bin-lookup table ----
+//
+// Every histogram of one binning shares one lookup table that routes
+// most samples past the log. These tests pin that the table never moves
+// a sample: each one lands where record()'s exact expression puts it.
+
+struct Binning {
+  double lo;
+  double hi;
+  std::size_t bins;
+};
+
+// Where a sample must land: -1 underflow, `bins` overflow, otherwise
+// (log(x) - log lo) * bins / log(hi/lo), evaluated exactly as record()
+// evaluates it and clamped at the top edge.
+long expected_bin(const Binning& b, double x) {
+  if (x < b.lo || x <= 0.0) return -1;
+  if (x >= b.hi) return static_cast<long>(b.bins);
+  const double log_lo = std::log(b.lo);
+  const double inv_log_width =
+      static_cast<double>(b.bins) / (std::log(b.hi) - log_lo);
+  const auto i =
+      static_cast<std::size_t>((std::log(x) - log_lo) * inv_log_width);
+  return static_cast<long>(std::min(i, b.bins - 1));
+}
+
+// Samples at both endpoints and the midpoint of every table cell (the
+// top 18 bits of a double: 64 cells per octave) from an octave below lo
+// to an octave above hi, the range edges, non-positive values, and
+// seeded log-uniform draws.
+std::vector<double> sweep_samples(const Binning& b, std::uint64_t seed) {
+  const auto key_of = [](double x) {
+    return std::bit_cast<std::uint64_t>(x) >> 46;
+  };
+  std::vector<double> xs = {0.0, -1.0, b.lo, b.hi,
+                            std::nextafter(b.lo, 0.0),
+                            std::nextafter(b.hi, 0.0)};
+  for (std::uint64_t key = key_of(b.lo / 2.0); key <= key_of(b.hi * 2.0);
+       ++key) {
+    xs.push_back(std::bit_cast<double>(key << 46));
+    xs.push_back(std::bit_cast<double>((key << 46) | (std::uint64_t{1} << 45)));
+    xs.push_back(std::bit_cast<double>(((key + 1) << 46) - 1));
+  }
+  Rng rng(seed);
+  const double log_a = std::log(b.lo / 4.0);
+  const double log_b = std::log(b.hi * 4.0);
+  for (int i = 0; i < 20000; ++i)
+    xs.push_back(std::exp(rng.uniform(log_a, log_b)));
+  return xs;
+}
+
+// Records every sample and fails at the first one that misses its bin
+// (its expected bin's count falls behind), then compares whole buckets.
+// record_n(x, 3) runs on a twin histogram over the same samples.
+void expect_samples_in_their_bins(const Binning& b,
+                                  const std::vector<double>& xs) {
+  obs::Histogram h(b.lo, b.hi, b.bins);
+  obs::Histogram h3(b.lo, b.hi, b.bins);
+  std::vector<std::uint64_t> want(b.bins, 0);
+  std::uint64_t under = 0;
+  std::uint64_t over = 0;
+  for (const double x : xs) {
+    h.record(x);
+    h3.record_n(x, 3);
+    const long i = expected_bin(b, x);
+    std::uint64_t got = 0;
+    std::uint64_t got3 = 0;
+    std::uint64_t expect = 0;
+    if (i < 0) {
+      expect = ++under;
+      got = h.underflow();
+      got3 = h3.underflow();
+    } else if (i == static_cast<long>(b.bins)) {
+      expect = ++over;
+      got = h.overflow();
+      got3 = h3.overflow();
+    } else {
+      const auto bin = static_cast<std::size_t>(i);
+      expect = ++want[bin];
+      got = h.bin_count(bin);
+      got3 = h3.bin_count(bin);
+    }
+    if (got != expect || got3 != 3 * expect) {
+      ADD_FAILURE() << "sample " << x << " missed bin " << i << " of ("
+                    << b.lo << ", " << b.hi << ", " << b.bins << ")";
+      return;
+    }
+  }
+  EXPECT_EQ(h.underflow(), under);
+  EXPECT_EQ(h.overflow(), over);
+  for (std::size_t i = 0; i < b.bins; ++i) {
+    EXPECT_EQ(h.bin_count(i), want[i]) << "bin " << i;
+    EXPECT_EQ(h3.bin_count(i), 3 * want[i]) << "bin " << i;
+  }
+}
+
+// True when two histograms hold identical buckets.
+bool same_buckets(const obs::Histogram& a, const obs::Histogram& b) {
+  if (a.bins() != b.bins() || a.underflow() != b.underflow() ||
+      a.overflow() != b.overflow() || a.count() != b.count())
+    return false;
+  for (std::size_t i = 0; i < a.bins(); ++i)
+    if (a.bin_count(i) != b.bin_count(i)) return false;
+  return true;
+}
+
+TEST(HistogramBinTable, FlowDelayAndLifecycleBinning) {
+  const Binning b{1e-6, 100.0, 64};
+  expect_samples_in_their_bins(b, sweep_samples(b, 1));
+}
+
+TEST(HistogramBinTable, KernelBinning) {
+  const Binning b{1e-8, 1.0, 64};
+  expect_samples_in_their_bins(b, sweep_samples(b, 2));
+}
+
+TEST(HistogramBinTable, QueueDepthBinning) {
+  const Binning b{1.0, 1e6, 24};
+  expect_samples_in_their_bins(b, sweep_samples(b, 3));
+}
+
+TEST(HistogramBinTable, DecadeBinsWithBoundariesOnCellEdges) {
+  // 1.0 is a cell endpoint and a bin edge at once.
+  const Binning b{1e-2, 1e2, 4};
+  expect_samples_in_their_bins(b, sweep_samples(b, 4));
+}
+
+TEST(HistogramBinTable, RangeTooWideForATable) {
+  // ~2,000 octaves: more cells than the table allows, slow path only.
+  const Binning b{1e-300, 1e300, 64};
+  expect_samples_in_their_bins(b, sweep_samples(b, 5));
+}
+
+TEST(HistogramBinTable, MoreBinsThanACellCanIndex) {
+  const Binning b{1e-3, 1e3, 40000};
+  expect_samples_in_their_bins(b, sweep_samples(b, 6));
+}
+
+TEST(HistogramBinTable, EachKeyComponentSelectsItsOwnTable) {
+  // Neighbours of the decade binning that differ in one of lo, hi or
+  // bins each get their own table, interleaved with the original.
+  for (const Binning& b : {Binning{1e-2, 1e2, 4}, Binning{1e-2, 1e2, 5},
+                           Binning{2e-2, 1e2, 4}, Binning{1e-2, 2e2, 4},
+                           Binning{1e-2, 1e2, 4}}) {
+    expect_samples_in_their_bins(b, sweep_samples(b, 9));
+  }
+}
+
+TEST(HistogramBinTable, ConcurrentFirstUseBinsIdentically) {
+  // A binning no other test uses, so the eight constructors race on the
+  // table's first build.
+  const Binning b{3e-7, 70.0, 48};
+  const std::vector<double> xs = sweep_samples(b, 7);
+  constexpr int kThreads = 8;
+  std::vector<std::optional<obs::Histogram>> hs(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      hs[static_cast<std::size_t>(t)].emplace(b.lo, b.hi, b.bins);
+      for (const double x : xs) hs[static_cast<std::size_t>(t)]->record(x);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  obs::Histogram serial(b.lo, b.hi, b.bins);
+  for (const double x : xs) serial.record(x);
+  for (const auto& h : hs) EXPECT_TRUE(same_buckets(*h, serial));
+  expect_samples_in_their_bins(b, xs);
+}
+
+TEST(HistogramBinTable, CopiesAndMovesKeepRecording) {
+  const Binning b{1e-6, 100.0, 64};
+  const std::vector<double> xs = sweep_samples(b, 8);
+  const std::size_t half = xs.size() / 2;
+  obs::Histogram reference(b.lo, b.hi, b.bins);
+  for (const double x : xs) reference.record(x);
+
+  // Each histogram records the first half, is copied or moved, and the
+  // result records the second half: all must equal `reference`.
+  const auto first_half = [&] {
+    auto h = std::make_unique<obs::Histogram>(b.lo, b.hi, b.bins);
+    for (std::size_t i = 0; i < half; ++i) h->record(xs[i]);
+    return h;
+  };
+  const auto second_half = [&](obs::Histogram& h) {
+    for (std::size_t i = half; i < xs.size(); ++i) h.record(xs[i]);
+  };
+
+  auto original = first_half();
+  obs::Histogram copied(*original);
+  original.reset();  // the copy outlives its source
+  second_half(copied);
+  EXPECT_TRUE(same_buckets(copied, reference));
+
+  auto source = first_half();
+  obs::Histogram moved(std::move(*source));
+  source.reset();
+  second_half(moved);
+  EXPECT_TRUE(same_buckets(moved, reference));
+
+  obs::Histogram copy_assigned(1.0, 2.0, 1);
+  copy_assigned = *first_half();
+  second_half(copy_assigned);
+  EXPECT_TRUE(same_buckets(copy_assigned, reference));
+
+  obs::Histogram move_assigned(1.0, 2.0, 1);
+  move_assigned = std::move(*first_half());
+  second_half(move_assigned);
+  EXPECT_TRUE(same_buckets(move_assigned, reference));
 }
 
 // ---- obs::Registry ----
