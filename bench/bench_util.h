@@ -7,18 +7,22 @@
 // Machine-readable output: every bench's main() starts with
 // `benchutil::args(argc, argv)`. With `--json <path>` the run also
 // writes a structured report at exit — claim id, recorded series and
-// scalar metrics, verdict, wall-time histograms of the hot kernels
-// (FFT, Viterbi, LDPC, fading taps; profiled automatically when --json
-// is on), pool telemetry (a "par" section: utilization, lane-busy
-// imbalance, steal counters), and the PHY link-quality probes (EVM,
-// post-equalizer SNR, |LLR|) for benches that exercise a receive
-// chain. scripts/run_benches.sh aggregates these into BENCH_<tag>.json.
+// scalar metrics, verdict, pool telemetry (a "par" section:
+// utilization, lane-busy imbalance, steal counters), and the PHY
+// link-quality probes (EVM, post-equalizer SNR, |LLR|) for benches that
+// exercise a receive chain. scripts/run_benches.sh aggregates these into
+// BENCH_<tag>.json.
 //
-// `--profile [path]` arms the hierarchical span profiler (obs/perf.h):
-// the whole run executes under a root "bench" span, and at exit the
-// merged span tree is written as collapsed stacks (flamegraph.pl /
-// speedscope) to `path` — default <json>.folded next to the --json
-// report, else profile.folded — plus a "spans" array in the JSON and
+// `--json` and `--profile` both arm the hierarchical span profiler
+// (obs/perf.h): the whole run executes under a root "bench" span, and
+// the hot kernels (FFT, Viterbi, LDPC, fading taps) each open a span
+// named after the kernel. The report derives its kernel rows from the
+// merged span tree: `kernel_calls.<k>` (a deterministic metric) and
+// `kernel_share.<k>` (kernel seconds per wall second, summed over lanes;
+// informational). `--profile [path]` also writes the span tree as
+// collapsed stacks (flamegraph.pl / speedscope) to `path` — default
+// <json>.folded next to the --json report, else profile.folded — plus a
+// "spans" array in the JSON, span.* counters in the registry, and
 // nested slices appended to the --chrome-trace document when present.
 //
 // `--chrome-trace <path>` hands the bench a ChromeTraceSink (via
@@ -42,10 +46,14 @@
 #include "obs/metrics.h"
 #include "obs/perf.h"
 #include "obs/probe.h"
-#include "obs/timer.h"
 #include "par/pool.h"
 
 namespace wlan::benchutil {
+
+/// Span names of the instrumented hot kernels, in report order.
+inline constexpr const char* kKernelSpans[] = {
+    "fft",           "viterbi",    "ldpc_decode", "fading_taps",
+    "viterbi_batch", "ldpc_batch", "viterbi_i16", "ldpc_i16"};
 
 /// One recorded (x, y) curve of the experiment.
 struct Series {
@@ -71,14 +79,14 @@ struct Report {
   bool has_verdict = false;
   bool ok = false;
   std::string verdict_detail;
-  obs::Registry registry;  // kernel-profiling + probe histograms live here
+  obs::Registry registry;  // probe histograms, par.* and span.* live here
   std::string chrome_trace_path;
   std::unique_ptr<obs::ChromeTraceSink> chrome;  // closed by ~Report
   bool latency = false;    // --latency: frame-lifecycle instrumentation on
   std::size_t batch = 0;   // --batch [n]: trial-batched runners, n lanes
   bool quantized = false;  // --quantized: int16 decoder fast paths
   std::size_t overlap = 0; // --overlap [grid]: one-component border city
-  bool profile = false;    // --profile: span profiler armed
+  bool profile = false;    // --profile: export the span tree
   std::string profile_path;       // folded-stack output ("" = derived)
   obs::perf::SpanProfile spans;   // merged span tree (all threads)
   // Root "bench" span covering args() .. write_report(); its total then
@@ -104,7 +112,7 @@ inline void write_report() {
   // wall time, then disarm: nothing below records new spans, and the
   // main thread's collector flushes into r.spans.
   r.root_span.reset();
-  if (r.profile) obs::perf::disable_span_profiling();
+  obs::perf::disable_span_profiling();
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - r.start)
                             .count();
@@ -151,19 +159,18 @@ inline void write_report() {
     r.sinks.emplace_back("chrome_trace", r.chrome->dropped());
   }
 
-  // Kernel wall-share: total seconds inside each hot kernel per second
-  // of wall time, summed across lanes (can exceed 1 with --jobs > 1).
-  // New metrics are informational in the regression gate until a
-  // baseline refresh pins them.
-  if (wall_s > 0.0) {
-    for (std::size_t k = 0; k < obs::kKernelCount; ++k) {
-      const auto kernel = static_cast<obs::Kernel>(k);
-      const obs::Histogram* h =
-          r.registry.find_histogram(obs::kernel_metric_name(kernel));
-      if (!h || h->count() == 0) continue;
-      const char* name = obs::kernel_metric_name(kernel);  // "kernel.<x>"
-      r.metrics.emplace_back(std::string("kernel_share.") + (name + 7),
-                             h->sum() / wall_s);
+  // Hot-kernel rows from the merged span tree, wherever each kernel ran.
+  // Call counts are a pure function of seed and config, so the gate pins
+  // them; the wall share (kernel seconds per wall second, summed across
+  // lanes, so it grows with --jobs) is informational.
+  for (const char* kernel : kKernelSpans) {
+    const obs::perf::SpanStats st = r.spans.leaf_stats(kernel);
+    if (st.calls == 0) continue;
+    r.metrics.emplace_back(std::string("kernel_calls.") + kernel,
+                           static_cast<double>(st.calls));
+    if (wall_s > 0.0) {
+      r.info.emplace_back(std::string("kernel_share.") + kernel,
+                          static_cast<double>(st.total_ns) * 1e-9 / wall_s);
     }
   }
 
@@ -257,29 +264,7 @@ inline void write_report() {
     out << '"' << json_escape(r.info[i].first) << "\":";
     json_number(out, r.info[i].second);
   }
-  out << "},\"kernels\":[";
-  bool first = true;
-  for (std::size_t k = 0; k < obs::kKernelCount; ++k) {
-    const auto kernel = static_cast<obs::Kernel>(k);
-    const obs::Histogram* h =
-        r.registry.find_histogram(obs::kernel_metric_name(kernel));
-    if (!h || h->count() == 0) continue;
-    if (!first) out << ',';
-    first = false;
-    out << "{\"name\":\"" << obs::kernel_metric_name(kernel)
-        << "\",\"count\":" << h->count() << ",\"mean_s\":";
-    json_number(out, h->mean());
-    out << ",\"p50_s\":";
-    json_number(out, h->percentile(50.0));
-    out << ",\"p90_s\":";
-    json_number(out, h->percentile(90.0));
-    out << ",\"p99_s\":";
-    json_number(out, h->percentile(99.0));
-    out << ",\"max_s\":";
-    json_number(out, h->max());
-    out << '}';
-  }
-  out << ']';
+  out << '}';
   if (telem) {
     const par::LaneTelemetry tot = pool.totals();
     out << ",\"par\":{\"lanes\":" << pool.lanes.size()
@@ -327,10 +312,10 @@ inline void write_report() {
 }
 
 /// Parses bench CLI flags: `--json <path>` (write the structured report
-/// there; also enables kernel profiling, pool telemetry, and the PHY
-/// probes), `--profile [path]` (arm the span profiler and kernel
-/// profiling; write collapsed stacks to `path`, default <json>.folded
-/// or profile.folded), `--chrome-trace <path>` (arm `chrome_trace()`
+/// there; also arms the span profiler, pool telemetry, and the PHY
+/// probes), `--profile [path]` (arm the span profiler; write collapsed
+/// stacks to `path`, default <json>.folded or profile.folded),
+/// `--chrome-trace <path>` (arm `chrome_trace()`
 /// with a ChromeTraceSink writing there), `--jobs <n>` (worker lanes
 /// for the Monte-Carlo pool; default hardware_concurrency, 1 = fully
 /// serial; results are identical either way), and `--latency` (arm the
@@ -389,12 +374,9 @@ inline void args(int argc, char** argv) {
   // the process-wide collector arena, and later-registered exit handlers
   // run first — write_report can then still close the root span and
   // drain the main thread's collector.
-  if (r.profile) {
+  if (!r.json_path.empty() || r.profile) {
     obs::perf::enable_span_profiling(r.spans);
     r.root_span = std::make_unique<obs::perf::ScopedSpan>("bench");
-  }
-  if (!r.json_path.empty() || r.profile) {
-    obs::enable_kernel_profiling(r.registry);
     par::set_telemetry_enabled(true);
     std::atexit(write_report);
   }

@@ -56,7 +56,7 @@
 # After the per-bench runs the script prints a summary table (verdict,
 # jobs, wall seconds, pool utilization, lane imbalance per bench) and a
 # kernel-share table (seconds inside each hot kernel per wall second,
-# from the kernel_share.* metrics).
+# from the informational kernel_share.* rows).
 #
 # Independent of the verdicts, any bench whose report shows a nonzero
 # "sink_dropped" (a trace sink lost events, so trace-derived metrics are

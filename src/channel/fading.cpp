@@ -7,7 +7,6 @@
 #include "dsp/fft.h"
 #include "dsp/ops.h"
 #include "obs/perf.h"
-#include "obs/timer.h"
 
 namespace wlan::channel {
 
@@ -51,8 +50,6 @@ CVec Tdl::frequency_response(std::size_t n_fft) const {
 
 Tdl make_tdl(Rng& rng, DelayProfile profile, double sample_rate_hz,
              double first_tap_k_db) {
-  const obs::ScopedTimer timer(
-      obs::kernel_histogram(obs::Kernel::kFadingTaps));
   const obs::perf::ScopedSpan span("fading_taps");
   check(sample_rate_hz > 0.0, "make_tdl requires positive sample rate");
   const double trms = rms_delay_spread_s(profile);

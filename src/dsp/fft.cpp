@@ -10,7 +10,6 @@
 #include "common/bits.h"
 #include "common/check.h"
 #include "obs/perf.h"
-#include "obs/timer.h"
 
 namespace wlan::dsp {
 
@@ -38,7 +37,6 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
 }
 
 void FftPlan::transform(std::span<Cplx> x, bool inverse) const {
-  const obs::ScopedTimer timer(obs::kernel_histogram(obs::Kernel::kFft));
   const obs::perf::ScopedSpan span("fft");
   check(x.size() == n_, "FftPlan size mismatch");
 

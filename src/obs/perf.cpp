@@ -123,9 +123,10 @@ SpanCollector& shard_collector() {
 
 }  // namespace detail
 
+using detail::g_tls;
+
 ScopedSpan::~ScopedSpan() {
   if (node_ == nullptr) return;
-  detail::PerfTls& t = detail::tls();
   const std::uint64_t elapsed = detail::now_ns() - start_ns_;
   detail::SpanNode* parent = node_->parent;
   node_->stats.calls += 1;
@@ -136,7 +137,7 @@ ScopedSpan::~ScopedSpan() {
     node_->stats.allocs += allocs;
     parent->stats.child_allocs += allocs;
   }
-  t.current = parent;
+  g_tls.current = parent;
 }
 
 void SpanProfile::add(const std::string& path, const SpanStats& stats) {
@@ -172,6 +173,19 @@ std::uint64_t SpanProfile::root_total_ns() const {
     if (path.find(';') == std::string::npos) total += stats.total_ns;
   }
   return total;
+}
+
+SpanStats SpanProfile::leaf_stats(std::string_view name) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  SpanStats sum;
+  for (const auto& [path, stats] : spans_) {
+    const std::size_t semi = path.rfind(';');
+    const std::string_view leaf =
+        semi == std::string::npos ? std::string_view(path)
+                                  : std::string_view(path).substr(semi + 1);
+    if (leaf == name) sum.add(stats);
+  }
+  return sum;
 }
 
 void SpanProfile::publish(Registry& registry) const {
@@ -221,44 +235,41 @@ std::vector<FoldedLine> parse_folded(std::istream& in) {
 }
 
 void enable_span_profiling(SpanProfile& target) {
-  detail::PerfTls& t = detail::tls();
-  if (t.collector != nullptr && t.target != nullptr && t.target != &target) {
-    t.collector->drain_into(*t.target, "");
+  if (g_tls.collector != nullptr && g_tls.target != nullptr &&
+      g_tls.target != &target) {
+    g_tls.collector->drain_into(*g_tls.target, "");
   }
-  t.collector = &detail::thread_collector();
-  t.current = t.collector->root();
-  t.target = &target;
+  g_tls.collector = &detail::thread_collector();
+  g_tls.current = g_tls.collector->root();
+  g_tls.target = &target;
 }
 
 void disable_span_profiling() {
-  detail::PerfTls& t = detail::tls();
-  if (t.collector != nullptr && t.target != nullptr) {
-    t.collector->drain_into(*t.target, "");
+  if (g_tls.collector != nullptr && g_tls.target != nullptr) {
+    g_tls.collector->drain_into(*g_tls.target, "");
   }
-  t.collector = nullptr;
-  t.current = nullptr;
-  t.target = nullptr;
+  g_tls.collector = nullptr;
+  g_tls.current = nullptr;
+  g_tls.target = nullptr;
 }
 
 void flush_span_profiling() {
-  detail::PerfTls& t = detail::tls();
-  if (t.collector != nullptr && t.target != nullptr) {
-    t.collector->drain_into(*t.target, "");
+  if (g_tls.collector != nullptr && g_tls.target != nullptr) {
+    g_tls.collector->drain_into(*g_tls.target, "");
   }
 }
 
 bool span_profiling_enabled() noexcept {
-  return detail::tls().collector != nullptr;
+  return g_tls.collector != nullptr;
 }
 
-SpanProfile* span_profiling_target() noexcept { return detail::tls().target; }
+SpanProfile* span_profiling_target() noexcept { return g_tls.target; }
 
 std::string current_path() {
-  const detail::PerfTls& t = detail::tls();
-  if (t.collector == nullptr || t.current == nullptr) return "";
+  if (g_tls.collector == nullptr || g_tls.current == nullptr) return "";
   std::vector<const char*> names;
-  for (const detail::SpanNode* n = t.current; n != nullptr && n->name != nullptr;
-       n = n->parent) {
+  for (const detail::SpanNode* n = g_tls.current;
+       n != nullptr && n->name != nullptr; n = n->parent) {
     names.push_back(n->name);
   }
   std::string path;

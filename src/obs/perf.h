@@ -1,5 +1,7 @@
-// Hierarchical span profiler (wlan::obs::perf) and the shared per-thread
-// profiling slots.
+// Hierarchical span profiler (wlan::obs::perf) — the one instrumentation
+// primitive: the hot kernels (FFT, Viterbi, LDPC, fading taps) carry a
+// span named after the kernel, and bench reports derive their per-kernel
+// rows from the merged profile (SpanProfile::leaf_stats).
 //
 // ScopedSpan opens a named node on the calling thread's span stack; on
 // close it adds the elapsed wall time to the node and to its parent's
@@ -15,11 +17,9 @@
 // instruments use).
 //
 // Zero cost when disabled: an un-armed thread pays one thread-local load
-// and a branch per span — the same null-check discipline as ScopedTimer.
-// The thread-local state is one zero-initialized POD (PerfTls) with
-// initial-exec TLS, so the hot path has no TLS init guard and no
-// __tls_get_addr call; kernel_histogram (obs/timer.h) is a branch-free
-// indexed load from the same block.
+// and a branch per span. The thread-local state is one zero-initialized
+// POD (PerfTls) with initial-exec TLS, so the hot path has no TLS init
+// guard and no __tls_get_addr call.
 //
 // Exports: write_folded emits collapsed stacks ("a;b;c <self_ns>") that
 // flamegraph.pl and speedscope ingest directly; parse_folded reads them
@@ -38,37 +38,18 @@
 // made inside it, with the same self/child split as wall time.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
 
-namespace wlan::obs {
-
-/// The instrumented hot kernels (slots live in perf::detail::PerfTls;
-/// the ScopedTimer front end is in obs/timer.h).
-enum class Kernel : std::size_t {
-  kFft,
-  kViterbi,
-  kLdpcDecode,
-  kFadingTaps,
-  kViterbiBatch,   ///< trial-batched double-precision Viterbi ACS
-  kLdpcBatch,      ///< trial-batched double-precision min-sum LDPC
-  kViterbiQuant,   ///< trial-batched int16 Viterbi ACS
-  kLdpcQuant,      ///< trial-batched int8/int16 min-sum LDPC
-};
-inline constexpr std::size_t kKernelCount = 8;
-
-/// Registry metric name, e.g. "kernel.fft".
-const char* kernel_metric_name(Kernel kernel);
-
-namespace perf {
+namespace wlan::obs::perf {
 
 /// Injectable clock: returns a monotonic tick in nanoseconds.
 using TickFn = std::uint64_t (*)();
@@ -127,6 +108,11 @@ class SpanProfile {
 
   /// Sum of the inclusive times of depth-0 spans (paths without ';').
   std::uint64_t root_total_ns() const;
+
+  /// Sum of every row whose last path component is `name` ("a;fft" and
+  /// "fft" count for "fft"; "fft;b" and "fft_x" do not): one kernel's
+  /// calls and time wherever in the tree it ran.
+  SpanStats leaf_stats(std::string_view name) const;
 
   /// Mirrors every row into `registry` as span.calls / span.total_ns /
   /// span.self_ns / span.allocs counters labelled {span=<path>}, in
@@ -189,13 +175,9 @@ class SpanCollector {
   std::deque<SpanNode> nodes_;  // stable addresses; nodes_[0] is the root
 };
 
-/// The combined per-thread profiling block: kernel histogram slots
-/// (obs/timer.h's ScopedTimer front end) and the span-profiler arming.
-/// Plain zero-initialized POD with initial-exec TLS so reads compile to
-/// a guard-free %fs-relative load.
+/// The per-thread span-profiler arming. Plain zero-initialized POD with
+/// initial-exec TLS so reads compile to a guard-free %fs-relative load.
 struct PerfTls {
-  std::array<Histogram*, kKernelCount> kernel_hist;
-  Registry* kernel_registry;
   SpanCollector* collector;  ///< non-null while span profiling is armed
   SpanNode* current;         ///< innermost open span (collector root if none)
   SpanProfile* target;       ///< where this thread's spans drain
@@ -206,9 +188,12 @@ struct PerfTls {
 #else
 #define WLAN_PERF_TLS_MODEL
 #endif
+/// Name it directly (`g_tls.collector`), never through a reference or
+/// pointer: UBSan null-checks member access through one, GCC folds that
+/// check into the flags of the initial-exec TLS `add`, and ld relaxes the
+/// `add` into a flag-less `lea` — the check then reads stale flags and
+/// reports a null PerfTls that cannot exist.
 extern thread_local constinit PerfTls g_tls WLAN_PERF_TLS_MODEL;
-
-inline PerfTls& tls() noexcept { return g_tls; }
 
 /// Monotonic nanoseconds from the active tick source (steady_clock
 /// unless a test injected one).
@@ -234,10 +219,9 @@ SpanCollector& shard_collector();
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) {
-    detail::PerfTls& t = detail::tls();
-    if (t.collector == nullptr) return;  // disabled: one load + branch
-    node_ = t.collector->enter(t.current, name);
-    t.current = node_;
+    if (detail::g_tls.collector == nullptr) return;  // disabled: load + branch
+    node_ = detail::g_tls.collector->enter(detail::g_tls.current, name);
+    detail::g_tls.current = node_;
     alloc_ = detail::alloc_fn();
     if (alloc_) start_allocs_ = alloc_();
     start_ns_ = detail::now_ns();
@@ -284,5 +268,4 @@ void set_tick_source_for_testing(TickFn fn) noexcept;
 /// SpanStats::allocs (null disables). Set before arming any thread.
 void set_alloc_source(AllocFn fn) noexcept;
 
-}  // namespace perf
-}  // namespace wlan::obs
+}  // namespace wlan::obs::perf

@@ -17,10 +17,9 @@
 //    guessing; the histogram shape separates "noisy but decodable" from
 //    "erasure channel".
 //
-// Same discipline as the kernel profiler (obs/timer.h): process-wide
-// nullable histogram slots, off by default, armed by
+// Process-wide nullable histogram slots, off by default, armed by
 // `enable_phy_probes(registry)`. A disabled probe costs the hot path one
-// load + branch. Benches arm the probes behind --json and the histograms
+// load + branch, like a disarmed span (obs/perf.h). Benches arm the probes behind --json and the histograms
 // ride out in the standard registry snapshot.
 #pragma once
 

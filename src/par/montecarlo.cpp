@@ -1,10 +1,5 @@
 #include "par/montecarlo.h"
 
-#include <array>
-#include <mutex>
-
-#include "obs/timer.h"
-
 namespace wlan::par {
 namespace {
 
@@ -15,11 +10,6 @@ std::uint64_t splitmix_finalize(std::uint64_t z) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
-
-// Serializes shard-into-target registry merges across all sweeps. One
-// global mutex is enough: merges happen once per retired chunk, not per
-// sample.
-std::mutex g_profile_merge_mutex;
 
 }  // namespace
 
@@ -36,71 +26,37 @@ std::uint64_t derive_seed(std::uint64_t root, std::uint64_t point,
 
 namespace detail {
 
-struct ProfileShardGuard::Impl {
-  const ProfileTargets* targets = nullptr;
-  // Kernel-histogram shard (used when targets->registry is set).
-  obs::Registry shard;
-  std::array<obs::Histogram*, obs::kKernelCount> saved_hist{};
-  obs::Registry* saved_registry = nullptr;
-  bool kernel_armed = false;
-  // Saved span arming (used when targets->spans is set).
-  obs::perf::detail::SpanCollector* saved_collector = nullptr;
-  obs::perf::detail::SpanNode* saved_current = nullptr;
-  obs::perf::SpanProfile* saved_span_target = nullptr;
-  bool span_armed = false;
-};
+using obs::perf::detail::g_tls;
 
 ProfileShardGuard::ProfileShardGuard(const ProfileTargets& targets) {
   if (!targets.active()) return;
-  impl_ = new Impl;
-  impl_->targets = &targets;
-  obs::perf::detail::PerfTls& tls = obs::perf::detail::tls();
-  if (targets.registry != nullptr) {
-    impl_->saved_hist = tls.kernel_hist;
-    impl_->saved_registry = tls.kernel_registry;
-    obs::enable_kernel_profiling(impl_->shard);
-    impl_->kernel_armed = true;
-  }
-  if (targets.spans != nullptr) {
-    // Arm the executing thread's dedicated shard collector: draining it
-    // at retire can then never sweep up spans the thread recorded
-    // outside this chunk (the caller helping from inside its own open
-    // spans keeps those in thread_collector()).
-    impl_->saved_collector = tls.collector;
-    impl_->saved_current = tls.current;
-    impl_->saved_span_target = tls.target;
-    obs::perf::detail::SpanCollector& shard =
-        obs::perf::detail::shard_collector();
-    tls.collector = &shard;
-    tls.current = shard.root();
-    tls.target = targets.spans;
-    impl_->span_armed = true;
-  }
+  targets_ = &targets;
+  // Arm the executing thread's dedicated shard collector: draining it at
+  // retire can then never sweep up spans the thread recorded outside
+  // this chunk (the caller helping from inside its own open spans keeps
+  // those in thread_collector()).
+  saved_collector_ = g_tls.collector;
+  saved_current_ = g_tls.current;
+  saved_target_ = g_tls.target;
+  obs::perf::detail::SpanCollector& shard =
+      obs::perf::detail::shard_collector();
+  g_tls.collector = &shard;
+  g_tls.current = shard.root();
+  g_tls.target = targets.spans;
 }
 
 ProfileShardGuard::~ProfileShardGuard() {
-  if (!impl_) return;
-  obs::perf::detail::PerfTls& tls = obs::perf::detail::tls();
-  if (impl_->span_armed) {
-    // SpanProfile::add is internally synchronized; no global lock needed.
-    obs::perf::detail::shard_collector().drain_into(*impl_->targets->spans,
-                                                    impl_->targets->prefix);
-    tls.collector = impl_->saved_collector;
-    tls.current = impl_->saved_current;
-    tls.target = impl_->saved_span_target;
-  }
-  if (impl_->kernel_armed) {
-    tls.kernel_hist = impl_->saved_hist;
-    tls.kernel_registry = impl_->saved_registry;
-    const std::lock_guard<std::mutex> lock(g_profile_merge_mutex);
-    impl_->targets->registry->merge(impl_->shard);
-  }
-  delete impl_;
+  if (targets_ == nullptr) return;
+  // SpanProfile::add is internally synchronized; no global lock needed.
+  obs::perf::detail::shard_collector().drain_into(*targets_->spans,
+                                                  targets_->prefix);
+  g_tls.collector = saved_collector_;
+  g_tls.current = saved_current_;
+  g_tls.target = saved_target_;
 }
 
 ProfileTargets profiling_targets() {
   ProfileTargets targets;
-  targets.registry = obs::kernel_profiling_registry();
   targets.spans = obs::perf::span_profiling_target();
   if (targets.spans != nullptr) targets.prefix = obs::perf::current_path();
   return targets;
@@ -108,8 +64,8 @@ ProfileTargets profiling_targets() {
 
 std::size_t auto_chunk(std::size_t n_trials) {
   // Aim for ~64 chunks: enough granularity for stealing to balance an
-  // 8..32-lane pool, coarse enough that per-chunk overhead (a shard
-  // registry when profiling) stays negligible. Depends on the trial
+  // 8..32-lane pool, coarse enough that per-chunk overhead (a span-shard
+  // drain when profiling) stays negligible. Depends on the trial
   // count ONLY — a jobs-derived chunk would change reduction grouping,
   // and with it floating-point sums, across thread counts.
   return std::max<std::size_t>(1, (n_trials + 63) / 64);

@@ -10,13 +10,7 @@
 // are reduced in chunk-index order on the calling thread, so even
 // non-associative floating-point reductions are schedule-independent.
 //
-// Kernel profiling (obs/timer.h) is sharded automatically: when the
-// calling thread has profiling armed, each chunk records into a private
-// shard registry that is merged into the caller's profiling registry
-// (mutex-guarded) as the chunk retires. Worker threads never touch the
-// caller's histograms directly.
-//
-// Span profiling (obs/perf.h) shards the same way: when the calling
+// Span profiling (obs/perf.h) is sharded automatically: when the calling
 // thread has span profiling armed, each chunk arms the executing
 // thread's shard collector, opens an "mc.chunk" (or "mc.map") span, and
 // drains the shard into the caller's SpanProfile as the chunk retires —
@@ -39,7 +33,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "obs/perf.h"
 #include "par/pool.h"
 
@@ -78,21 +71,20 @@ struct SweepOptions {
 namespace detail {
 
 /// Profiling destinations captured on the sweep-initiating thread
-/// before fan-out: the kernel-histogram registry, the span profile, and
-/// the caller's open span path (worker chunk spans graft under it).
+/// before fan-out: the span profile and the caller's open span path
+/// (worker chunk spans graft under it).
 struct ProfileTargets {
-  obs::Registry* registry = nullptr;
   obs::perf::SpanProfile* spans = nullptr;
   std::string prefix;
-  bool active() const { return registry != nullptr || spans != nullptr; }
+  bool active() const { return spans != nullptr; }
 };
 
-/// Arms thread-local kernel and span profiling at private per-thread
-/// shards for the guard's lifetime (no-op when `targets` is inactive);
-/// on destruction restores the previous arming, merges the kernel shard
-/// into targets.registry under a global mutex, and drains the span
-/// shard into targets.spans with targets.prefix. `targets` must outlive
-/// the guard (the sweep templates keep it alive across parallel_for).
+/// Arms thread-local span profiling at the executing thread's shard
+/// collector for the guard's lifetime (no-op when `targets` is
+/// inactive); on destruction drains the shard into targets.spans with
+/// targets.prefix and restores the previous arming. `targets` must
+/// outlive the guard (the sweep templates keep it alive across
+/// parallel_for).
 class ProfileShardGuard {
  public:
   explicit ProfileShardGuard(const ProfileTargets& targets);
@@ -101,8 +93,10 @@ class ProfileShardGuard {
   ProfileShardGuard& operator=(const ProfileShardGuard&) = delete;
 
  private:
-  struct Impl;
-  Impl* impl_ = nullptr;
+  const ProfileTargets* targets_ = nullptr;  // null: nothing armed
+  obs::perf::detail::SpanCollector* saved_collector_ = nullptr;
+  obs::perf::detail::SpanNode* saved_current_ = nullptr;
+  obs::perf::SpanProfile* saved_target_ = nullptr;
 };
 
 /// The profiling targets armed on the calling thread (inactive when

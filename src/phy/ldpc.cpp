@@ -13,7 +13,6 @@
 #include "dsp/simd.h"
 #include "dsp/simd_int.h"
 #include "obs/perf.h"
-#include "obs/timer.h"
 #include "phy/workspace.h"
 
 namespace wlan::phy {
@@ -279,8 +278,6 @@ void scalar_check_update(const std::uint32_t* var, std::uint32_t e0,
 void LdpcCode::decode_into(std::span<const double> llrs, int max_iterations,
                            double normalization, DecodeResult& result,
                            Workspace& ws) const {
-  const obs::ScopedTimer timer(
-      obs::kernel_histogram(obs::Kernel::kLdpcDecode));
   const obs::perf::ScopedSpan span("ldpc_decode");
   check(llrs.size() == n_, "LdpcCode::decode LLR length mismatch");
 
@@ -445,8 +442,6 @@ void LdpcCode::decode_batch_into(std::span<const double> llrs_soa,
     return;
   }
 
-  const obs::ScopedTimer timer(
-      obs::kernel_histogram(obs::Kernel::kLdpcBatch));
   const obs::perf::ScopedSpan span("ldpc_batch");
   using dsp::simd::DVec;
   const std::size_t L = lanes;
@@ -601,8 +596,6 @@ void LdpcCode::decode_batch_i16_into(std::span<const double> llrs_soa,
                                      double normalization, double scale,
                                      std::span<DecodeResult> results,
                                      Workspace& ws) const {
-  const obs::ScopedTimer timer(
-      obs::kernel_histogram(obs::Kernel::kLdpcQuant));
   const obs::perf::ScopedSpan span("ldpc_i16");
   check(lanes > 0 && lanes <= 16 && results.size() == lanes,
         "decode_batch_i16 requires 1..16 lanes with one result per lane");

@@ -16,7 +16,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/perf.h"
-#include "obs/timer.h"
 #include "par/montecarlo.h"
 #include "par/pool.h"
 #include "support/alloc_hook.h"
@@ -47,7 +46,6 @@ class PerfGuard {
     obs::perf::disable_span_profiling();
     obs::perf::set_tick_source_for_testing(nullptr);
     obs::perf::set_alloc_source(nullptr);
-    obs::disable_kernel_profiling();
     par::set_telemetry_enabled(false);
   }
 };
@@ -130,6 +128,26 @@ TEST(SpanProfile, RootTotalSumsDepthZeroRowsOnly) {
   s.total_ns = 150;
   profile.add("a;c", s);  // depth 1: excluded
   EXPECT_EQ(profile.root_total_ns(), 500u);
+}
+
+// Bench kernel rows: a kernel counts wherever it ran, matched on the
+// whole last path component only.
+TEST(SpanProfile, LeafStatsSumsRowsEndingInName) {
+  SpanProfile profile;
+  SpanStats s;
+  s.calls = 1;
+  s.total_ns = 10;
+  for (const char* path :
+       {"a;viterbi", "b;c;viterbi", "viterbi_batch", "x;viterbi_i16",
+        "viterbi;fft"}) {
+    profile.add(path, s);
+  }
+  EXPECT_EQ(profile.leaf_stats("viterbi").calls, 2u);
+  EXPECT_EQ(profile.leaf_stats("viterbi").total_ns, 20u);
+  EXPECT_EQ(profile.leaf_stats("viterbi_batch").calls, 1u);
+  EXPECT_EQ(profile.leaf_stats("viterbi_i16").calls, 1u);
+  EXPECT_EQ(profile.leaf_stats("fft").calls, 1u);
+  EXPECT_EQ(profile.leaf_stats("ldpc_decode").calls, 0u);
 }
 
 TEST(SpanProfile, FoldedRoundTrip) {
@@ -355,22 +373,6 @@ TEST(SpanAllocs, WarmMonteCarloChunksDoNotAllocate) {
     EXPECT_EQ(stats.allocs, 0u) << path;
   }
   EXPECT_TRUE(saw_chunk);
-}
-
-// The rewired kernel-timer front end: histograms live in the shared
-// PerfTls block, and ScopedTimer still records through them.
-TEST(KernelProfiling, TimerRecordsThroughTlsSlots) {
-  PerfGuard guard;
-  EXPECT_EQ(obs::kernel_histogram(obs::Kernel::kFft), nullptr);
-  obs::Registry registry;
-  obs::enable_kernel_profiling(registry);
-  ASSERT_NE(obs::kernel_histogram(obs::Kernel::kFft), nullptr);
-  { const obs::ScopedTimer t(obs::kernel_histogram(obs::Kernel::kFft)); }
-  obs::disable_kernel_profiling();
-  EXPECT_EQ(obs::kernel_histogram(obs::Kernel::kFft), nullptr);
-  const obs::Histogram* h = registry.find_histogram("kernel.fft");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 1u);
 }
 
 // Perfetto appendix: the span tree lands as complete slices on the
