@@ -139,8 +139,10 @@ int main(int argc, char** argv) {
   bu::metric("max_abs_per_error", max_abs_err);
   bu::metric("rms_per_error", rms_err);
   bu::metric("ht_max_abs_per_error", ht_max_err);
-  bu::metric("per_lookup_ns", ns_lookup);
-  bu::metric("speedup_vs_waveform", speedup);
+  // The work is deterministic and gated; its wall-clock cost is not.
+  bu::metric("lookups", static_cast<double>(kLookups));
+  bu::info("per_lookup_ns", ns_lookup);
+  bu::info("speedup_vs_waveform", speedup);
 
   const bool ok = max_abs_err < 0.2 && rms_err < 0.1 && ht_max_err < 0.25 &&
                   speedup > 1e3;

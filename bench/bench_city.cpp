@@ -174,10 +174,11 @@ int run_overlap(std::size_t grid) {
     std::printf("  border msgs %llu, epoch utilization %.2f, imbalance %.2f\n",
                 static_cast<unsigned long long>(result.border.messages),
                 result.border.utilization, result.border.imbalance);
-    std::printf("  phases: setup %.1f s, epochs %.1f s, finalize %.1f s, "
-                "merge %.1f s\n",
+    std::printf("  phases: setup %.1f s, epochs %.1f s (lane wait %.1f s), "
+                "finalize %.1f s, merge %.1f s\n",
                 result.border.setup_s, result.border.wall_s,
-                result.border.finalize_s, result.border.merge_s);
+                result.border.wait_s, result.border.finalize_s,
+                result.border.merge_s);
     par_runs[i] = result.border.critical_path_s > 0.0
                       ? result.border.busy_s / result.border.critical_path_s
                       : 0.0;
@@ -223,6 +224,7 @@ int run_overlap(std::size_t grid) {
   bu::info("epoch_utilization", result.border.utilization);
   bu::info("epoch_imbalance", result.border.imbalance);
   bu::info("epoch_wall_s", result.border.wall_s);
+  bu::info("epoch_wait_s", result.border.wait_s);
   bu::info("setup_s", result.border.setup_s);
   bu::info("finalize_s", result.border.finalize_s);
   bu::info("merge_s", result.border.merge_s);
@@ -235,7 +237,7 @@ int run_overlap(std::size_t grid) {
             plan.shards.size() >= min_tiles && deterministic &&
             breaches == 0 && result.aggregate_throughput_mbps > 0.0;
   // The >= 3x bar is a property of the full-size problem; tiny smoke
-  // grids have too little work per epoch to amortize the barrier. With
+  // grids have too little work per epoch to amortize a round's close. With
   // fewer than 4 real cores the wall-clock ratio cannot show scaling,
   // so the bar moves to the schedule-parallelism measurement.
   if (full) ok = ok && (cores >= 4 ? speedup >= 3.0 : parallelism >= 3.0);

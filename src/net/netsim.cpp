@@ -1,11 +1,15 @@
 #include "net/netsim.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <deque>
+#include <exception>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -513,11 +517,20 @@ class Engine {
   double next_time() const { return sched_.next_time(); }
   /// Border messages generated since the last drain (epoch driver only).
   std::vector<BorderMsg>& outbox() { return outbox_; }
+  /// Tiles this engine's transmissions can influence, ascending: every
+  /// outbox message targets one of them.
+  std::vector<std::uint32_t> border_targets() const {
+    std::vector<std::uint32_t> tiles(out_tile_);
+    std::sort(tiles.begin(), tiles.end());
+    tiles.erase(std::unique(tiles.begin(), tiles.end()), tiles.end());
+    return tiles;
+  }
 
   /// Expands a routed border message into its start/end records. Called
-  /// by the epoch driver between rounds; the apply times land at or
-  /// after the next epoch boundary by the lookahead's power-of-two
-  /// rounding guarantee, so they are always in this engine's future.
+  /// by the epoch driver before the round that follows the message's
+  /// own; the apply times land at or after that round's start boundary
+  /// by the lookahead's power-of-two rounding guarantee, so they are
+  /// always in this engine's future.
   void inject_border(const BorderMsg& msg) {
     add_influence(msg.start_s + delay_s_,
                   InfluenceRec{msg.origin, msg.target_tile, 0, 0.0});
@@ -1523,17 +1536,242 @@ NetworkResult merge_shard_outputs(const NetworkConfig& config,
   return total;
 }
 
+/// Busy-wait hint for a lane spinning on the next round.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// The lockstep epoch rounds of one border run, driven by every lane of
+/// the run's pool at once (DESIGN.md "Epoch protocol").
+///
+/// Round k runs every tile over its private horizon [k*L, (k+1)*L). A
+/// lane claims the round's next unclaimed tile from `claim_`, which is
+/// tagged with the round's generation, so a lane that slept through a
+/// round fails its claims instead of running a tile with stale bounds.
+/// A claimed tile first pulls its inbound messages from the previous
+/// round's outboxes — ascending source tile, generation order within
+/// each source, the exact sequence a serial router injects — then runs
+/// to the round's bound and parks its own outbox in the buffer of this
+/// round's parity (the other parity's buffers are the ones being
+/// pulled). The lane whose tile completes the round closes it: records
+/// the round, picks the next epoch (skipping empty ones), resets the
+/// counters and bumps `generation_`. Other lanes spin briefly, then park
+/// on the generation.
+///
+/// A lane waits only once every tile of the round has been claimed by a
+/// running lane, so the run finishes however few lanes actually run at
+/// once: the lanes can be ordinary pool tasks without risk of deadlock.
+class EpochRounds {
+ public:
+  EpochRounds(std::vector<std::unique_ptr<Engine>>& engines,
+              double lookahead_s, double duration_s)
+      : engines_(engines),
+        n_tiles_(engines.size()),
+        lookahead_s_(lookahead_s),
+        duration_s_(duration_s),
+        n_full_(static_cast<std::size_t>(std::floor(duration_s / lookahead_s))),
+        sources_(n_tiles_),
+        busy_s_(n_tiles_, 0.0),
+        next_s_(n_tiles_, 0.0),
+        sent_(n_tiles_, 0) {
+    for (auto& parity : outboxes_) parity.resize(n_tiles_);
+    for (std::size_t s = 0; s < n_tiles_; ++s) {
+      for (const std::uint32_t t : engines_[s]->border_targets())
+        sources_[t].push_back(static_cast<std::uint32_t>(s));
+    }
+    open_round(0);
+    round_start_ns_ = par::detail::monotonic_ns();
+  }
+
+  /// One lane: claims and runs tiles, round after round, until the run
+  /// ends. Rethrows nothing; see `rethrow_error`.
+  void run_lane() {
+    std::uint64_t waited_ns = 0;
+    for (;;) {
+      const std::uint32_t gen = generation_.load(std::memory_order_acquire);
+      if (finished_.load(std::memory_order_acquire)) break;
+      run_claims(gen);
+      waited_ns += wait_past(gen);
+    }
+    wait_ns_.fetch_add(waited_ns, std::memory_order_relaxed);
+  }
+
+  /// The first exception a tile threw, if any (after every lane ended).
+  void rethrow_error() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+  std::size_t rounds() const { return stats_.rounds; }
+  std::uint64_t messages() const { return messages_; }
+  /// Round telemetry, with the lanes' summed wait folded in.
+  par::EpochStats stats() const {
+    par::EpochStats stats = stats_;
+    stats.wait_s =
+        static_cast<double>(wait_ns_.load(std::memory_order_relaxed)) * 1e-9;
+    return stats;
+  }
+
+ private:
+  static constexpr std::uint64_t kTileMask = 0xFFFFFFFFull;
+  /// Pause iterations before a waiting lane parks: with every lane on a
+  /// core, a round's last tiles finish within a few microseconds.
+  static constexpr int kSpins = 256;
+
+  void open_round(std::size_t k) {
+    k_ = k;
+    final_ = k >= n_full_;
+    bound_ = final_ ? duration_s_ : static_cast<double>(k + 1) * lookahead_s_;
+  }
+
+  void run_claims(std::uint32_t gen) {
+    const std::uint64_t tag = static_cast<std::uint64_t>(gen) << 32;
+    std::uint64_t c = claim_.load(std::memory_order_relaxed);
+    for (;;) {
+      if ((c & ~kTileMask) != tag || (c & kTileMask) >= n_tiles_) return;
+      // Acquire pairs with the closer's release of the round's first
+      // claim word: the round's bound and the previous outboxes are
+      // visible once a claim of this generation succeeds.
+      if (!claim_.compare_exchange_weak(c, c + 1, std::memory_order_acquire,
+                                        std::memory_order_relaxed))
+        continue;
+      run_tile(static_cast<std::size_t>(c & kTileMask), gen);
+      if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_tiles_) {
+        close_round(gen);
+        return;
+      }
+      c = claim_.load(std::memory_order_relaxed);
+    }
+  }
+
+  void run_tile(std::size_t t, std::uint32_t gen) {
+    const std::uint64_t t0 = par::detail::monotonic_ns();
+    Engine& engine = *engines_[t];
+    const auto& inbound = outboxes_[(gen & 1u) ^ 1u];
+    try {
+      for (const std::uint32_t s : sources_[t]) {
+        for (const BorderMsg& msg : inbound[s]) {
+          if (msg.target_tile == t) engine.inject_border(msg);
+        }
+      }
+      if (final_) {
+        engine.run_final(bound_);
+      } else {
+        engine.run_before(bound_);
+      }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex_);
+      if (!error_) error_ = std::current_exception();
+      failed_.store(true, std::memory_order_relaxed);
+    }
+    // This round's outbox replaces the one pulled a round ago, whose
+    // storage the engine reuses.
+    std::vector<BorderMsg>& out = outboxes_[gen & 1u][t];
+    out.swap(engine.outbox());
+    engine.outbox().clear();
+    sent_[t] = out.size();
+    next_s_[t] = engine.next_time();
+    busy_s_[t] = static_cast<double>(par::detail::monotonic_ns() - t0) * 1e-9;
+  }
+
+  /// Runs on the lane that finished the round's last tile; every other
+  /// lane is idle for this round, so the round state is its alone.
+  void close_round(std::uint32_t gen) {
+    const std::uint64_t now = par::detail::monotonic_ns();
+    stats_.record_round(static_cast<double>(now - round_start_ns_) * 1e-9,
+                        busy_s_.data(), n_tiles_);
+    round_start_ns_ = now;
+    const bool finish = final_ || failed_.load(std::memory_order_relaxed);
+    if (!finish) {
+      std::size_t sent = 0;
+      for (const std::size_t n : sent_) sent += n;
+      messages_ += sent;
+      open_round(sent > 0 ? k_ + 1 : next_busy_epoch());
+    }
+    done_.store(0, std::memory_order_relaxed);
+    claim_.store(static_cast<std::uint64_t>(gen + 1) << 32,
+                 std::memory_order_release);
+    if (finish) finished_.store(true, std::memory_order_relaxed);
+    generation_.store(gen + 1, std::memory_order_release);
+    generation_.notify_all();
+  }
+
+  /// Idle skip: nothing is in flight and run_before drained every event
+  /// below the boundary, so the earliest pending event bounds the next
+  /// epoch that can do work. Messages travel exactly one epoch, so
+  /// skipping empty ones cannot reorder anything.
+  std::size_t next_busy_epoch() const {
+    double min_next = std::numeric_limits<double>::infinity();
+    for (const double t : next_s_) min_next = std::min(min_next, t);
+    if (!std::isfinite(min_next)) return n_full_;
+    const double r = std::floor(min_next / lookahead_s_);
+    if (r >= static_cast<double>(n_full_)) return n_full_;
+    if (r > static_cast<double>(k_ + 1)) return static_cast<std::size_t>(r);
+    return k_ + 1;
+  }
+
+  /// Spins, then parks, until round `gen` has closed; the time waited.
+  std::uint64_t wait_past(std::uint32_t gen) {
+    if (generation_.load(std::memory_order_acquire) != gen) return 0;
+    const std::uint64_t t0 = par::detail::monotonic_ns();
+    for (int i = 0; i < kSpins; ++i) {
+      cpu_relax();
+      if (generation_.load(std::memory_order_acquire) != gen)
+        return par::detail::monotonic_ns() - t0;
+    }
+    generation_.wait(gen, std::memory_order_acquire);
+    return par::detail::monotonic_ns() - t0;
+  }
+
+  std::vector<std::unique_ptr<Engine>>& engines_;
+  const std::size_t n_tiles_;
+  const double lookahead_s_;
+  const double duration_s_;
+  const std::size_t n_full_;
+  /// Per target tile: the source tiles whose messages can reach it,
+  /// ascending.
+  std::vector<std::vector<std::uint32_t>> sources_;
+  /// [round parity][source tile]: the outbox each tile parked.
+  std::array<std::vector<std::vector<BorderMsg>>, 2> outboxes_;
+  // Per tile, written by the lane that ran it, read by the closer.
+  std::vector<double> busy_s_;
+  std::vector<double> next_s_;
+  std::vector<std::size_t> sent_;
+  // Round state: written by the closer before it releases the round.
+  std::size_t k_ = 0;
+  bool final_ = false;
+  double bound_ = 0.0;
+  std::uint64_t round_start_ns_ = 0;
+  par::EpochStats stats_;
+  std::uint64_t messages_ = 0;
+
+  /// (generation << 32) | next unclaimed tile of the current round.
+  alignas(64) std::atomic<std::uint64_t> claim_{0};
+  /// Tiles of the current round finished so far.
+  alignas(64) std::atomic<std::size_t> done_{0};
+  /// Rounds closed so far; lanes park on it between rounds.
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+  std::atomic<bool> finished_{false};
+  std::atomic<std::uint64_t> wait_ns_{0};
+  std::atomic<bool> failed_{false};
+  std::mutex error_mutex_;
+  std::exception_ptr error_;
+};
+
 /// Conservative-time lockstep driver over coupled spatial tiles.
 ///
-/// Per-tile engines each simulate their private horizon [t, t+L) — one
-/// parallel_for call per round IS the epoch barrier — then the driver,
-/// single-threaded, routes every outbox in ascending tile order into
-/// the target engines' influence maps. L is the plan's lookahead:
-/// influence stamped inside round k applies at or after boundary
-/// (k+1)*L, so everything a round needs was already routed when it
-/// starts, and the message order seen by any engine is a pure function
-/// of the plan — bitwise identical at any jobs count, and identical to
-/// the fused reference engine that queues the same records locally.
+/// Per-tile engines each simulate their private horizon [t, t+L) per
+/// round; `EpochRounds` runs the rounds on every lane of a private pool,
+/// and each tile pulls the previous round's messages addressed to it
+/// before it runs. L is the plan's lookahead: influence stamped inside
+/// round k applies at or after boundary (k+1)*L, so everything a round
+/// needs was posted by the round before, and the message order seen by
+/// any engine is a pure function of the plan — bitwise identical at any
+/// jobs count, and identical to the fused reference engine that queues
+/// the same records locally.
 NetworkResult run_border_exchange(const NetworkConfig& config,
                                   const std::vector<NodeConfig>& nodes,
                                   const std::vector<Flow>& flows,
@@ -1552,7 +1790,9 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
   const unsigned lanes = pool.size();
 
   // Engines draw only from streams derived from `root`, so
-  // construction commutes and can run on the pool.
+  // construction commutes and can run on the pool. Every pool body
+  // arms a span shard, so spans opened on any lane graft under the
+  // caller's open span and the span tree does not depend on the lanes.
   std::vector<ShardOutput> outputs(n_tiles);
   std::vector<std::unique_ptr<Engine>> engines(n_tiles);
   std::optional<PerTablePool> per_pool;
@@ -1560,7 +1800,9 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
   {
     const obs::perf::ScopedSpan span("net.setup");
     per_pool = make_per_pool(config, flows.size(), per_pool_root(root), &pool);
+    const par::detail::ProfileTargets prof = par::detail::profiling_targets();
     pool.parallel_for(n_tiles, 1, [&](std::size_t b, std::size_t e) {
+      const par::detail::ProfileShardGuard shard(prof);
       for (std::size_t s = b; s < e; ++s) {
         outputs[s].registry = std::make_unique<obs::Registry>();
         engines[s] = std::make_unique<Engine>(
@@ -1573,87 +1815,31 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
   const double setup_s =
       static_cast<double>(par::detail::monotonic_ns() - setup0) * 1e-9;
 
-  par::EpochStats epochs;
-  std::vector<double> busy_s(n_tiles, 0.0);
-  std::uint64_t messages = 0;
-  std::size_t rounds = 0;
+  std::optional<EpochRounds> rounds;
   {
     const obs::perf::ScopedSpan span("net.events");
     for (std::size_t s = 0; s < n_tiles; ++s) engines[s]->start();
-    // Chunk several tiles per task: thousands of rounds of per-tile
-    // dispatch would otherwise eat the speedup in queue traffic.
-    const std::size_t chunk =
-        std::max<std::size_t>(1, n_tiles / (8 * static_cast<std::size_t>(
-                                                    std::max(1u, lanes))));
-    const auto n_full = static_cast<std::size_t>(
-        std::floor(config.duration_s / lookahead));
-    std::size_t k = 0;
-    for (;;) {
-      const bool final_round = k >= n_full;
-      const double bound = final_round
-                               ? config.duration_s
-                               : static_cast<double>(k + 1) * lookahead;
-      const std::uint64_t wall0 = par::detail::monotonic_ns();
-      pool.parallel_for(n_tiles, chunk, [&](std::size_t b, std::size_t e) {
-        for (std::size_t s = b; s < e; ++s) {
-          const std::uint64_t t0 = par::detail::monotonic_ns();
-          if (final_round) {
-            engines[s]->run_final(bound);
-          } else {
-            engines[s]->run_before(bound);
-          }
-          busy_s[s] = static_cast<double>(par::detail::monotonic_ns() - t0) *
-                      1e-9;
-        }
-      });
-      epochs.record_round(
-          static_cast<double>(par::detail::monotonic_ns() - wall0) * 1e-9,
-          busy_s.data(), n_tiles);
-      ++rounds;
-      if (final_round) break;
-      // Route in ascending tile order, each outbox in generation order:
-      // the delivery sequence every engine sees is schedule-independent.
-      bool any = false;
-      for (std::size_t s = 0; s < n_tiles; ++s) {
-        for (const BorderMsg& msg : engines[s]->outbox()) {
-          engines[msg.target_tile]->inject_border(msg);
-          ++messages;
-          any = true;
-        }
-        engines[s]->outbox().clear();
-      }
-      if (any) {
-        ++k;
-        continue;
-      }
-      // Idle skip: nothing is in flight and run_before drained every
-      // event below the boundary, so the earliest pending event bounds
-      // the next epoch that can do work. Messages travel exactly one
-      // epoch, so skipping empty ones cannot reorder anything.
-      double min_next = std::numeric_limits<double>::infinity();
-      for (std::size_t s = 0; s < n_tiles; ++s)
-        min_next = std::min(min_next, engines[s]->next_time());
-      std::size_t k_next = k + 1;
-      if (std::isfinite(min_next)) {
-        const double r = std::floor(min_next / lookahead);
-        if (r >= static_cast<double>(n_full)) {
-          k_next = n_full;
-        } else if (r > static_cast<double>(k + 1)) {
-          k_next = static_cast<std::size_t>(r);
-        }
-      } else {
-        k_next = n_full;
-      }
-      k = k_next;
-    }
+    rounds.emplace(engines, lookahead, config.duration_s);
+    const par::detail::ProfileTargets prof = par::detail::profiling_targets();
+    // One task per lane for the whole run; lanes beyond the tile count
+    // would only ever wait.
+    pool.parallel_for(std::min<std::size_t>(lanes, n_tiles), 1,
+                      [&](std::size_t, std::size_t) {
+                        const par::detail::ProfileShardGuard shard(prof);
+                        rounds->run_lane();
+                      });
+    rounds->rethrow_error();
   }
+  const par::EpochStats epochs = rounds->stats();
 
   // Finalize commutes: each engine folds only its own state into its
   // private registry, so the tiles can drain on the pool.
   const std::uint64_t fin0 = par::detail::monotonic_ns();
   {
     const obs::perf::ScopedSpan span("net.finalize");
+    const par::detail::ProfileTargets prof = par::detail::profiling_targets();
     pool.parallel_for(n_tiles, 1, [&](std::size_t b, std::size_t e) {
+      const par::detail::ProfileShardGuard shard(prof);
       for (std::size_t s = b; s < e; ++s) {
         outputs[s].result = engines[s]->finalize();
         outputs[s].node_ids = engines[s]->node_ids();
@@ -1668,10 +1854,11 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
   NetworkResult total =
       merge_shard_outputs(config, nodes.size(), flows.size(), outputs);
   total.border.tiles = n_tiles;
-  total.border.epochs = rounds;
-  total.border.messages = messages;
+  total.border.epochs = rounds->rounds();
+  total.border.messages = rounds->messages();
   total.border.lookahead_s = lookahead;
   total.border.wall_s = epochs.wall_s;
+  total.border.wait_s = epochs.wait_s;
   total.border.utilization = epochs.utilization(lanes);
   total.border.imbalance = epochs.imbalance();
   total.border.setup_s = setup_s;

@@ -171,7 +171,10 @@ struct NetworkResult {
     double lookahead_s = 0.0;     ///< epoch length used
     // Wall-clock epoch telemetry — NOT deterministic; never compare
     // across runs or fold into gated metrics.
-    double wall_s = 0.0;          ///< total time inside epoch barriers
+    double wall_s = 0.0;          ///< summed round wall times (epoch phase)
+    /// Lane time spent spinning or parked while a round's last tiles
+    /// ran elsewhere, summed over lanes.
+    double wait_s = 0.0;
     double utilization = 0.0;     ///< busy / (wall * lanes), 0..1
     double imbalance = 0.0;       ///< per-round max/mean shard busy
     double setup_s = 0.0;         ///< engine construction (parallel)

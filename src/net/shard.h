@@ -90,7 +90,7 @@ struct ShardOptions {
   bool border_reference = false;
 };
 
-/// Per-shard load estimate, for diagnosing epoch-barrier imbalance.
+/// Per-shard load estimate, for diagnosing epoch-round imbalance.
 struct ShardLoad {
   std::size_t nodes = 0;
   std::size_t flows = 0;

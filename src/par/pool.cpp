@@ -150,6 +150,7 @@ void publish_epoch_stats(obs::Registry& registry, const EpochStats& stats,
                          unsigned lanes) {
   registry.gauge("par.epoch.rounds").set(static_cast<double>(stats.rounds));
   registry.gauge("par.epoch.wall_s").set(stats.wall_s);
+  registry.gauge("par.epoch.wait_s").set(stats.wait_s);
   registry.gauge("par.epoch.utilization").set(stats.utilization(lanes));
   registry.gauge("par.epoch.imbalance").set(stats.imbalance());
 }

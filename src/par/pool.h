@@ -87,19 +87,23 @@ void reset_chunk_stats() noexcept;
 void publish_telemetry(obs::Registry& registry, const PoolTelemetry& pool,
                        const ChunkStats& chunks, double wall_s);
 
-/// Lockstep-epoch barrier telemetry. A conservative-time driver (the
-/// netsim border exchange) calls `record_round` once per epoch with the
-/// barrier's wall time and each shard's busy time inside it; the
-/// aggregates diagnose barrier stalls: `utilization` is how much of the
-/// lanes' capacity the epochs filled, `imbalance` how lopsided the
-/// per-round shard work was (the slowest shard gates every round).
-/// Wall-clock data — never fold into determinism-gated metrics.
+/// Lockstep-epoch telemetry. A conservative-time driver (the netsim
+/// border exchange) calls `record_round` as each round closes, with the
+/// round's wall time (from the previous round's close to this one) and
+/// each shard's busy time inside it, and adds the lanes' summed wait
+/// between rounds to `wait_s`. The aggregates diagnose round stalls:
+/// `utilization` is how much of the lanes' capacity the rounds filled,
+/// `imbalance` how lopsided the per-round shard work was (the slowest
+/// shard gates every round), and `wait_s` how long lanes sat idle
+/// waiting for a round's last shards. Wall-clock data — never fold into
+/// determinism-gated metrics.
 struct EpochStats {
   std::size_t rounds = 0;
   std::size_t tasks = 0;   ///< shards per round (last recorded)
   double wall_s = 0.0;     ///< summed round wall times
   double busy_s = 0.0;     ///< summed per-shard busy times
   double max_busy_s = 0.0; ///< summed per-round slowest-shard times
+  double wait_s = 0.0;     ///< summed lane spin + park time between rounds
 
   void record_round(double round_wall_s, const double* task_busy_s,
                     std::size_t n);
@@ -109,8 +113,8 @@ struct EpochStats {
   double imbalance() const;
 };
 
-/// Publishes epoch-barrier telemetry into `registry`: gauges
-/// par.epoch.rounds / par.epoch.wall_s / par.epoch.utilization /
+/// Publishes epoch telemetry into `registry`: gauges par.epoch.rounds /
+/// par.epoch.wall_s / par.epoch.wait_s / par.epoch.utilization /
 /// par.epoch.imbalance. Fixed creation order. Wall-clock values — keep
 /// the registry out of bitwise-comparison paths.
 void publish_epoch_stats(obs::Registry& registry, const EpochStats& stats,

@@ -1,10 +1,12 @@
 // Conservative-time border exchange (net/shard.h border mode): planner
 // tiling + load estimates, fused-reference vs lockstep-tile bitwise
-// equivalence, thread-count invariance, hidden terminals across a tile
-// border, and invariant-auditor cleanliness under remote influence.
+// equivalence, lane-count invariance of the epoch driver (results, idle
+// skips and span tree), hidden terminals across a tile border, and
+// invariant-auditor cleanliness under remote influence.
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "net/netsim.h"
 #include "net/shard.h"
 #include "obs/metrics.h"
+#include "obs/perf.h"
 
 namespace wlan {
 namespace {
@@ -68,6 +71,11 @@ Deployment multibss63(const net::NetworkConfig& cfg, double* spacing_out) {
   if (spacing_out) *spacing_out = spacing_m;
   return make_grid(3, spacing_m, 6, radius_m);
 }
+
+/// Rounds and routed messages of the sparse Poisson run below (seed 9):
+/// pinned, so a driver that drops, repeats or over-skips a round fails.
+constexpr std::size_t kSparseEpochs = 549;
+constexpr std::uint64_t kSparseMessages = 960;
 
 net::ShardOptions bordered(double tile_m, unsigned jobs) {
   net::ShardOptions o;
@@ -231,6 +239,119 @@ TEST(BorderEquivalence, PoissonArrivalsStayThreadCountInvariant) {
   EXPECT_EQ(reg1.snapshot_json(), reg8.snapshot_json());
   EXPECT_GT(r1.border.messages, 0u);
   EXPECT_EQ(r1.border.messages, r8.border.messages);
+}
+
+// --- Epoch driver ----------------------------------------------------
+
+// Any lane count — one, fewer than the tiles, a count that does not
+// divide them, more lanes than tiles — runs the same rounds and
+// delivers the same messages in the same order: snapshot, epochs and
+// messages equal the 1-lane run, flows equal the fused reference.
+TEST(BorderDriver, LaneCountSweepMatchesOneLaneAndFusedReference) {
+  net::NetworkConfig cfg;
+  cfg.duration_s = 0.03;
+  cfg.rts_cts = true;
+  cfg.lifecycle.enabled = true;
+  double spacing = 0.0;
+  Deployment d = multibss63(cfg, &spacing);
+  for (std::size_t f = 0; f < d.flows.size(); f += 3) {
+    d.flows[f].arrival_rate_pps = 300.0;
+  }
+
+  net::ShardOptions ref = bordered(spacing, 1);
+  ref.border_reference = true;
+  Rng fused_rng(5);
+  const auto fused =
+      net::simulate_network_sharded(cfg, d.nodes, d.flows, ref, fused_rng);
+  const std::size_t tiles = fused.border.tiles;
+  ASSERT_GE(tiles, 4u);
+
+  std::string snapshot1;
+  std::size_t epochs1 = 0;
+  std::uint64_t messages1 = 0;
+  for (const unsigned jobs :
+       {1u, 2u, 3u, 5u, 8u, static_cast<unsigned>(tiles) + 2u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    obs::Registry reg;
+    net::NetworkConfig run_cfg = cfg;
+    run_cfg.registry = &reg;
+    Rng rng(5);
+    const auto tiled = net::simulate_network_sharded(
+        run_cfg, d.nodes, d.flows, bordered(spacing, jobs), rng);
+    expect_flows_bitwise(fused, tiled);
+    EXPECT_EQ(tiled.lifecycle.breaches, 0u);
+    if (jobs == 1) {
+      snapshot1 = reg.snapshot_json();
+      epochs1 = tiled.border.epochs;
+      messages1 = tiled.border.messages;
+      EXPECT_GT(messages1, 0u);
+    } else {
+      EXPECT_EQ(reg.snapshot_json(), snapshot1);
+      EXPECT_EQ(tiled.border.epochs, epochs1);
+      EXPECT_EQ(tiled.border.messages, messages1);
+    }
+  }
+}
+
+// A light Poisson load leaves most epochs empty, so the round closer's
+// idle skip fires: the run executes far fewer rounds than
+// duration / lookahead, and exactly as many at every lane count.
+TEST(BorderDriver, SparseLoadSkipsIdleEpochs) {
+  net::NetworkConfig cfg;
+  cfg.duration_s = 0.05;
+  double spacing = 0.0;
+  Deployment d = multibss63(cfg, &spacing);
+  for (net::Flow& f : d.flows) f.arrival_rate_pps = 20.0;
+
+  net::ShardOptions ref = bordered(spacing, 1);
+  ref.border_reference = true;
+  Rng fused_rng(9);
+  const auto fused =
+      net::simulate_network_sharded(cfg, d.nodes, d.flows, ref, fused_rng);
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    Rng rng(9);
+    const auto r = net::simulate_network_sharded(
+        cfg, d.nodes, d.flows, bordered(spacing, jobs), rng);
+    expect_flows_bitwise(fused, r);
+    EXPECT_GT(r.total_delivered, 0u);
+    const double rounds_without_skip =
+        std::floor(cfg.duration_s / r.border.lookahead_s) + 1.0;
+    EXPECT_LT(static_cast<double>(r.border.epochs), rounds_without_skip);
+    EXPECT_EQ(r.border.epochs, kSparseEpochs);
+    EXPECT_EQ(r.border.messages, kSparseMessages);
+  }
+}
+
+// Spans opened inside tile setup, the epoch lanes and tile finalize
+// graft under the caller's open span on whichever thread runs them, so
+// the merged span tree (paths and call counts) does not depend on the
+// lane count or the schedule.
+TEST(BorderDriver, SpanTreeIndependentOfJobs) {
+  net::NetworkConfig cfg;
+  cfg.duration_s = 0.02;
+  double spacing = 0.0;
+  const Deployment d = multibss63(cfg, &spacing);
+
+  const auto tree = [&](unsigned jobs) {
+    obs::perf::SpanProfile profile;
+    obs::perf::enable_span_profiling(profile);
+    {
+      const obs::perf::ScopedSpan outer("run");
+      Rng rng(13);
+      net::simulate_network_sharded(cfg, d.nodes, d.flows,
+                                    bordered(spacing, jobs), rng);
+    }
+    obs::perf::disable_span_profiling();
+    std::map<std::string, std::uint64_t> calls;
+    for (const auto& [path, stats] : profile.spans()) calls[path] = stats.calls;
+    return calls;
+  };
+  const auto serial = tree(1);
+  const auto parallel = tree(4);
+  EXPECT_EQ(serial, parallel);
+  ASSERT_EQ(serial.count("run;net.finalize;net.finalize"), 1u);
+  EXPECT_GE(serial.at("run;net.finalize;net.finalize"), 4u);
 }
 
 // --- Hidden terminals across a tile border ---------------------------

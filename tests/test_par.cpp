@@ -317,12 +317,14 @@ TEST(EpochStats, AggregatesRoundsAndPublishesGauges) {
   EXPECT_DOUBLE_EQ(stats.imbalance(), 1.5);
   // Clamped to 1 when busy exceeds lanes * wall (timer skew).
   EXPECT_DOUBLE_EQ(stats.utilization(1), 1.0);
+  EXPECT_EQ(stats.wait_s, 0.0);  // summed by the driver, not per round
 
   obs::Registry reg;
   par::publish_epoch_stats(reg, stats, 4);
   const std::string json = reg.snapshot_json();
   EXPECT_NE(json.find("par.epoch.rounds"), std::string::npos);
   EXPECT_NE(json.find("par.epoch.wall_s"), std::string::npos);
+  EXPECT_NE(json.find("par.epoch.wait_s"), std::string::npos);
   EXPECT_NE(json.find("par.epoch.utilization"), std::string::npos);
   EXPECT_NE(json.find("par.epoch.imbalance"), std::string::npos);
 }
