@@ -133,13 +133,12 @@ inline void write_report() {
     }
   }
 
-  // Pool/chunk telemetry, merged into the registry in fixed creation
-  // order (par.* counters and gauges). The span profile publishes the
-  // same way (span.* counters), keeping snapshots deterministic.
+  // Pool telemetry, merged into the registry in fixed creation order
+  // (par.* counters and gauges). The span profile publishes the same way
+  // (span.* counters), keeping snapshots deterministic.
   const par::PoolTelemetry pool = par::default_pool().telemetry();
-  const par::ChunkStats chunks = par::chunk_stats();
   const bool telem = par::telemetry_enabled();
-  if (telem) par::publish_telemetry(r.registry, pool, chunks, wall_s);
+  if (telem) par::publish_telemetry(r.registry, pool, wall_s);
   if (r.profile) r.spans.publish(r.registry);
 
   // Perfetto appendix: span slices + per-lane busy counters ride along
@@ -267,6 +266,10 @@ inline void write_report() {
   out << '}';
   if (telem) {
     const par::LaneTelemetry tot = pool.totals();
+    // Chunk count and mean from the Monte-Carlo chunk spans, which are
+    // armed whenever telemetry is.
+    obs::perf::SpanStats chunks = r.spans.leaf_stats("mc.chunk");
+    chunks.add(r.spans.leaf_stats("mc.map"));
     out << ",\"par\":{\"lanes\":" << pool.lanes.size()
         << ",\"tasks\":" << tot.tasks
         << ",\"steal_attempts\":" << tot.steal_attempts
@@ -279,13 +282,11 @@ inline void write_report() {
     json_number(out, pool.utilization(wall_s));
     out << ",\"imbalance\":";
     json_number(out, pool.imbalance());
-    out << ",\"chunks\":" << chunks.chunks << ",\"chunk_mean_s\":";
-    json_number(out, chunks.chunks != 0
+    out << ",\"chunks\":" << chunks.calls << ",\"chunk_mean_s\":";
+    json_number(out, chunks.calls != 0
                          ? static_cast<double>(chunks.total_ns) * 1e-9 /
-                               static_cast<double>(chunks.chunks)
+                               static_cast<double>(chunks.calls)
                          : 0.0);
-    out << ",\"chunk_max_s\":";
-    json_number(out, static_cast<double>(chunks.max_ns) * 1e-9);
     out << ",\"lane_busy_s\":[";
     for (std::size_t i = 0; i < pool.lanes.size(); ++i) {
       if (i) out << ',';

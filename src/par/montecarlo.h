@@ -10,6 +10,11 @@
 // are reduced in chunk-index order on the calling thread, so even
 // non-associative floating-point reductions are schedule-independent.
 //
+// One chunk loop runs every sweep: sweep() is that loop over points x
+// trials, montecarlo() is its one-point case, montecarlo_batched()
+// passes a group size, and a scalar trial function runs as groups of
+// one. par::map shares the loop's per-chunk wrapper.
+//
 // Span profiling (obs/perf.h) is sharded automatically: when the calling
 // thread has span profiling armed, each chunk arms the executing
 // thread's shard collector, opens an "mc.chunk" (or "mc.map") span, and
@@ -18,8 +23,8 @@
 // worker spans graft under the sweep's call site. SpanProfile rows are
 // integer counters merged by commutative addition and published in
 // sorted path order, so the merged profile is bitwise identical for any
-// --jobs. With par::telemetry_enabled() the chunk loop also records
-// per-chunk wall times into par::chunk_stats().
+// --jobs. Those spans are also the chunk instrument: chunk counts and
+// times are read back with SpanProfile::leaf_stats("mc.chunk").
 #pragma once
 
 #include <algorithm>
@@ -83,7 +88,7 @@ struct ProfileTargets {
 /// collector for the guard's lifetime (no-op when `targets` is
 /// inactive); on destruction drains the shard into targets.spans with
 /// targets.prefix and restores the previous arming. `targets` must
-/// outlive the guard (the sweep templates keep it alive across
+/// outlive the guard (for_each_chunk keeps it alive across
 /// parallel_for).
 class ProfileShardGuard {
  public:
@@ -112,50 +117,105 @@ std::size_t auto_chunk(std::size_t n_trials);
 ThreadPool& select_pool(const SweepOptions& opt,
                         std::unique_ptr<ThreadPool>& owned);
 
+/// The per-chunk wrapper every sweep entry point shares: runs
+/// `body(c)` for each c in [0, n) as one pool task apiece, inside the
+/// executing thread's span shard (ProfileShardGuard) and a `span_name`
+/// span. The profiling targets are captured here, before fan-out.
+template <class Body>
+void for_each_chunk(ThreadPool& pool, std::size_t n, const char* span_name,
+                    Body&& body) {
+  const ProfileTargets prof = profiling_targets();
+  pool.parallel_for(n, 1, [&](std::size_t cb, std::size_t ce) {
+    for (std::size_t c = cb; c < ce; ++c) {
+      const ProfileShardGuard shard(prof);
+      const obs::perf::ScopedSpan chunk_span(span_name);
+      body(c);
+    }
+  });
+}
+
+/// The one Monte-Carlo chunk loop: points [first_point, first_point +
+/// n_points) x `n_trials` trials in groups of up to `batch`, folded
+/// into one Result per point. The chunk size is rounded up to a
+/// multiple of `batch` and chunks never straddle points, so chunk and
+/// group boundaries are a pure function of (n_trials, batch,
+/// opt.chunk); chunk partials merge in chunk order on the caller.
+template <class Result, class GroupFn, class MergeFn>
+std::vector<Result> chunk_loop(std::uint64_t first_point,
+                               std::size_t n_points, std::size_t n_trials,
+                               std::size_t batch, const SweepOptions& opt,
+                               GroupFn& group, MergeFn& merge) {
+  const std::size_t chunk0 = opt.chunk ? opt.chunk : auto_chunk(n_trials);
+  const std::size_t chunk = ((chunk0 + batch - 1) / batch) * batch;
+  const std::size_t chunks_per_point = (n_trials + chunk - 1) / chunk;
+  std::vector<Result> partial(n_points * chunks_per_point);
+
+  std::unique_ptr<ThreadPool> owned;
+  for_each_chunk(select_pool(opt, owned), partial.size(), "mc.chunk",
+                 [&](std::size_t c) {
+                   const std::uint64_t point =
+                       first_point + c / chunks_per_point;
+                   const std::size_t t0 = (c % chunks_per_point) * chunk;
+                   const std::size_t t1 = std::min(n_trials, t0 + chunk);
+                   Result acc{};
+                   std::array<Rng, kMaxBatch> rngs;
+                   for (std::size_t g0 = t0; g0 < t1; g0 += batch) {
+                     const std::size_t n_g = std::min(batch, t1 - g0);
+                     for (std::size_t i = 0; i < n_g; ++i) {
+                       rngs[i] = trial_rng(opt.root_seed, point, g0 + i);
+                     }
+                     group(point, g0, std::span<Rng>(rngs.data(), n_g), acc);
+                   }
+                   partial[c] = std::move(acc);
+                 });
+
+  std::vector<Result> out(n_points);
+  for (std::size_t c = 0; c < partial.size(); ++c) {
+    merge(out[c / chunks_per_point], partial[c]);
+  }
+  return out;
+}
+
+/// A scalar trial function as a group function over groups of one.
+template <class TrialFn>
+auto as_group(TrialFn& trial) {
+  return [&trial](std::uint64_t point, std::size_t t, std::span<Rng> rngs,
+                  auto& acc) { trial(point, t, rngs[0], acc); };
+}
+
 }  // namespace detail
 
-/// Runs `n_trials` Monte-Carlo trials of sweep point `point` and folds
-/// them into one `Result` (default-constructed, value-initialized).
+/// Sweep over `n_points` points x `n_trials` trials; returns one merged
+/// Result (default-constructed, value-initialized) per point, in point
+/// order.
 ///
-///   trial(point, t, rng, acc)  — runs trial t, accumulating into acc;
-///                                `rng` is the trial's private generator.
+///   trial(point, t, rng, acc)  — runs trial t of `point`, accumulating
+///                                into acc; `rng` is the trial's private
+///                                generator.
 ///   merge(acc, partial)        — folds a chunk partial into acc;
 ///                                called in chunk order.
+///
+/// Chunks never straddle points, so each point's reduction order is
+/// fixed regardless of thread count.
+template <class Result, class TrialFn, class MergeFn>
+std::vector<Result> sweep(std::size_t n_points, std::size_t n_trials,
+                          const SweepOptions& opt, TrialFn&& trial,
+                          MergeFn&& merge) {
+  check(n_points > 0 && n_trials > 0, "par::sweep requires points and trials");
+  auto group = detail::as_group(trial);
+  return detail::chunk_loop<Result>(0, n_points, n_trials, 1, opt, group,
+                                    merge);
+}
+
+/// The one-point sweep at index `point`: runs `n_trials` trials with the
+/// sweep() trial/merge contract and returns their merged Result.
 template <class Result, class TrialFn, class MergeFn>
 Result montecarlo(std::size_t n_trials, std::uint64_t point,
                   const SweepOptions& opt, TrialFn&& trial, MergeFn&& merge) {
   check(n_trials > 0, "par::montecarlo requires at least one trial");
-  const std::size_t chunk =
-      opt.chunk ? opt.chunk : detail::auto_chunk(n_trials);
-  const std::size_t n_chunks = (n_trials + chunk - 1) / chunk;
-  std::vector<Result> partial(n_chunks);
-  const detail::ProfileTargets prof = detail::profiling_targets();
-
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = detail::select_pool(opt, owned);
-  pool.parallel_for(n_chunks, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      const detail::ProfileShardGuard shard(prof);
-      const bool telem = telemetry_enabled();
-      const std::uint64_t c_begin = telem ? detail::monotonic_ns() : 0;
-      {
-        const obs::perf::ScopedSpan chunk_span("mc.chunk");
-        const std::size_t t0 = c * chunk;
-        const std::size_t t1 = std::min(n_trials, t0 + chunk);
-        Result acc{};
-        for (std::size_t t = t0; t < t1; ++t) {
-          Rng rng = trial_rng(opt.root_seed, point, t);
-          trial(point, t, rng, acc);
-        }
-        partial[c] = std::move(acc);
-      }
-      if (telem) detail::record_chunk_ns(detail::monotonic_ns() - c_begin);
-    }
-  });
-
-  Result out{};
-  for (std::size_t c = 0; c < n_chunks; ++c) merge(out, partial[c]);
-  return out;
+  auto group = detail::as_group(trial);
+  return std::move(detail::chunk_loop<Result>(point, 1, n_trials, 1, opt,
+                                              group, merge)[0]);
 }
 
 /// Trial-batched montecarlo: trials run in groups of up to `batch`
@@ -181,144 +241,8 @@ Result montecarlo_batched(std::size_t n_trials, std::uint64_t point,
   check(n_trials > 0, "par::montecarlo_batched requires at least one trial");
   check(batch >= 1 && batch <= kMaxBatch,
         "par::montecarlo_batched batch size out of range");
-  const std::size_t chunk0 =
-      opt.chunk ? opt.chunk : detail::auto_chunk(n_trials);
-  const std::size_t chunk = ((chunk0 + batch - 1) / batch) * batch;
-  const std::size_t n_chunks = (n_trials + chunk - 1) / chunk;
-  std::vector<Result> partial(n_chunks);
-  const detail::ProfileTargets prof = detail::profiling_targets();
-
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = detail::select_pool(opt, owned);
-  pool.parallel_for(n_chunks, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      const detail::ProfileShardGuard shard(prof);
-      const bool telem = telemetry_enabled();
-      const std::uint64_t c_begin = telem ? detail::monotonic_ns() : 0;
-      {
-        const obs::perf::ScopedSpan chunk_span("mc.chunk");
-        const std::size_t t0 = c * chunk;
-        const std::size_t t1 = std::min(n_trials, t0 + chunk);
-        Result acc{};
-        std::array<Rng, kMaxBatch> rngs;
-        for (std::size_t g0 = t0; g0 < t1; g0 += batch) {
-          const std::size_t n_g = std::min(batch, t1 - g0);
-          for (std::size_t i = 0; i < n_g; ++i) {
-            rngs[i] = trial_rng(opt.root_seed, point, g0 + i);
-          }
-          group(point, g0, std::span<Rng>(rngs.data(), n_g), acc);
-        }
-        partial[c] = std::move(acc);
-      }
-      if (telem) detail::record_chunk_ns(detail::monotonic_ns() - c_begin);
-    }
-  });
-
-  Result out{};
-  for (std::size_t c = 0; c < n_chunks; ++c) merge(out, partial[c]);
-  return out;
-}
-
-/// Sweep over `n_points` points x `n_trials` trials; returns one merged
-/// Result per point (in point order). Chunks never straddle points, so
-/// each point's reduction order is fixed regardless of thread count.
-template <class Result, class TrialFn, class MergeFn>
-std::vector<Result> sweep(std::size_t n_points, std::size_t n_trials,
-                          const SweepOptions& opt, TrialFn&& trial,
-                          MergeFn&& merge) {
-  check(n_points > 0 && n_trials > 0, "par::sweep requires points and trials");
-  const std::size_t chunk =
-      opt.chunk ? opt.chunk : detail::auto_chunk(n_trials);
-  const std::size_t chunks_per_point = (n_trials + chunk - 1) / chunk;
-  const std::size_t total = n_points * chunks_per_point;
-  std::vector<Result> partial(total);
-  const detail::ProfileTargets prof = detail::profiling_targets();
-
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = detail::select_pool(opt, owned);
-  pool.parallel_for(total, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      const detail::ProfileShardGuard shard(prof);
-      const bool telem = telemetry_enabled();
-      const std::uint64_t c_begin = telem ? detail::monotonic_ns() : 0;
-      {
-        const obs::perf::ScopedSpan chunk_span("mc.chunk");
-        const std::size_t point = c / chunks_per_point;
-        const std::size_t t0 = (c % chunks_per_point) * chunk;
-        const std::size_t t1 = std::min(n_trials, t0 + chunk);
-        Result acc{};
-        for (std::size_t t = t0; t < t1; ++t) {
-          Rng rng = trial_rng(opt.root_seed, point, t);
-          trial(point, t, rng, acc);
-        }
-        partial[c] = std::move(acc);
-      }
-      if (telem) detail::record_chunk_ns(detail::monotonic_ns() - c_begin);
-    }
-  });
-
-  std::vector<Result> out(n_points);
-  for (std::size_t p = 0; p < n_points; ++p) {
-    for (std::size_t c = 0; c < chunks_per_point; ++c) {
-      merge(out[p], partial[p * chunks_per_point + c]);
-    }
-  }
-  return out;
-}
-
-/// Batched variant of sweep(): groups of up to `batch` trials per
-/// point, with the montecarlo_batched() group contract and the sweep()
-/// guarantees (chunks group-aligned and never straddling points).
-template <class Result, class GroupFn, class MergeFn>
-std::vector<Result> sweep_batched(std::size_t n_points, std::size_t n_trials,
-                                  std::size_t batch, const SweepOptions& opt,
-                                  GroupFn&& group, MergeFn&& merge) {
-  check(n_points > 0 && n_trials > 0,
-        "par::sweep_batched requires points and trials");
-  check(batch >= 1 && batch <= kMaxBatch,
-        "par::sweep_batched batch size out of range");
-  const std::size_t chunk0 =
-      opt.chunk ? opt.chunk : detail::auto_chunk(n_trials);
-  const std::size_t chunk = ((chunk0 + batch - 1) / batch) * batch;
-  const std::size_t chunks_per_point = (n_trials + chunk - 1) / chunk;
-  const std::size_t total = n_points * chunks_per_point;
-  std::vector<Result> partial(total);
-  const detail::ProfileTargets prof = detail::profiling_targets();
-
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = detail::select_pool(opt, owned);
-  pool.parallel_for(total, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      const detail::ProfileShardGuard shard(prof);
-      const bool telem = telemetry_enabled();
-      const std::uint64_t c_begin = telem ? detail::monotonic_ns() : 0;
-      {
-        const obs::perf::ScopedSpan chunk_span("mc.chunk");
-        const std::size_t point = c / chunks_per_point;
-        const std::size_t t0 = (c % chunks_per_point) * chunk;
-        const std::size_t t1 = std::min(n_trials, t0 + chunk);
-        Result acc{};
-        std::array<Rng, kMaxBatch> rngs;
-        for (std::size_t g0 = t0; g0 < t1; g0 += batch) {
-          const std::size_t n_g = std::min(batch, t1 - g0);
-          for (std::size_t i = 0; i < n_g; ++i) {
-            rngs[i] = trial_rng(opt.root_seed, point, g0 + i);
-          }
-          group(point, g0, std::span<Rng>(rngs.data(), n_g), acc);
-        }
-        partial[c] = std::move(acc);
-      }
-      if (telem) detail::record_chunk_ns(detail::monotonic_ns() - c_begin);
-    }
-  });
-
-  std::vector<Result> out(n_points);
-  for (std::size_t p = 0; p < n_points; ++p) {
-    for (std::size_t c = 0; c < chunks_per_point; ++c) {
-      merge(out[p], partial[p * chunks_per_point + c]);
-    }
-  }
-  return out;
+  return std::move(detail::chunk_loop<Result>(point, 1, n_trials, batch, opt,
+                                              group, merge)[0]);
 }
 
 /// Parallel map: `fn(index, rng)` for each index in [0, n), one derived
@@ -332,20 +256,9 @@ auto map(ThreadPool& pool, std::size_t n, const SweepOptions& opt, Fn&& fn)
   using R = decltype(fn(std::size_t{0}, std::declval<Rng&>()));
   check(n > 0, "par::map requires at least one item");
   std::vector<R> out(n);
-  const detail::ProfileTargets prof = detail::profiling_targets();
-
-  pool.parallel_for(n, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const detail::ProfileShardGuard shard(prof);
-      const bool telem = telemetry_enabled();
-      const std::uint64_t c_begin = telem ? detail::monotonic_ns() : 0;
-      {
-        const obs::perf::ScopedSpan map_span("mc.map");
-        Rng rng = trial_rng(opt.root_seed, i, 0);
-        out[i] = fn(i, rng);
-      }
-      if (telem) detail::record_chunk_ns(detail::monotonic_ns() - c_begin);
-    }
+  detail::for_each_chunk(pool, n, "mc.map", [&](std::size_t i) {
+    Rng rng = trial_rng(opt.root_seed, i, 0);
+    out[i] = fn(i, rng);
   });
   return out;
 }

@@ -16,13 +16,6 @@ thread_local unsigned tl_lane = kNoLane;
 
 std::atomic<bool> g_telemetry{false};
 
-struct GlobalChunkStats {
-  std::atomic<std::uint64_t> chunks{0};
-  std::atomic<std::uint64_t> total_ns{0};
-  std::atomic<std::uint64_t> max_ns{0};
-};
-GlobalChunkStats g_chunk_stats;
-
 }  // namespace
 
 bool telemetry_enabled() noexcept {
@@ -33,20 +26,6 @@ void set_telemetry_enabled(bool on) noexcept {
   g_telemetry.store(on, std::memory_order_relaxed);
 }
 
-ChunkStats chunk_stats() noexcept {
-  ChunkStats s;
-  s.chunks = g_chunk_stats.chunks.load(std::memory_order_relaxed);
-  s.total_ns = g_chunk_stats.total_ns.load(std::memory_order_relaxed);
-  s.max_ns = g_chunk_stats.max_ns.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_chunk_stats() noexcept {
-  g_chunk_stats.chunks.store(0, std::memory_order_relaxed);
-  g_chunk_stats.total_ns.store(0, std::memory_order_relaxed);
-  g_chunk_stats.max_ns.store(0, std::memory_order_relaxed);
-}
-
 namespace detail {
 
 std::uint64_t monotonic_ns() noexcept {
@@ -54,15 +33,6 @@ std::uint64_t monotonic_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void record_chunk_ns(std::uint64_t ns) noexcept {
-  g_chunk_stats.chunks.fetch_add(1, std::memory_order_relaxed);
-  g_chunk_stats.total_ns.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t seen = g_chunk_stats.max_ns.load(std::memory_order_relaxed);
-  while (ns > seen && !g_chunk_stats.max_ns.compare_exchange_weak(
-                          seen, ns, std::memory_order_relaxed)) {
-  }
 }
 
 }  // namespace detail
@@ -101,24 +71,17 @@ double PoolTelemetry::imbalance() const {
 }
 
 void publish_telemetry(obs::Registry& registry, const PoolTelemetry& pool,
-                       const ChunkStats& chunks, double wall_s) {
+                       double wall_s) {
   const LaneTelemetry totals = pool.totals();
   registry.counter("par.tasks").add(totals.tasks);
   registry.counter("par.steal_attempts").add(totals.steal_attempts);
   registry.counter("par.steal_successes").add(totals.steal_successes);
   registry.counter("par.help_iterations").add(totals.help_iterations);
-  registry.counter("par.chunks").add(chunks.chunks);
   registry.gauge("par.lanes").set(static_cast<double>(pool.lanes.size()));
   registry.gauge("par.busy_s").set(static_cast<double>(totals.busy_ns) * 1e-9);
   registry.gauge("par.park_s").set(static_cast<double>(totals.park_ns) * 1e-9);
   registry.gauge("par.utilization").set(pool.utilization(wall_s));
   registry.gauge("par.imbalance").set(pool.imbalance());
-  registry.gauge("par.chunk_mean_s")
-      .set(chunks.chunks == 0 ? 0.0
-                              : static_cast<double>(chunks.total_ns) * 1e-9 /
-                                    static_cast<double>(chunks.chunks));
-  registry.gauge("par.chunk_max_s")
-      .set(static_cast<double>(chunks.max_ns) * 1e-9);
 }
 
 void EpochStats::record_round(double round_wall_s, const double* task_busy_s,
@@ -273,11 +236,13 @@ bool ThreadPool::try_run_one(unsigned home_lane) {
   if (!task) return false;
   if (telem) {
     LaneStats& s = stats_slot(home_lane);
+    // Counted before the body runs: the last task of a parallel_for
+    // releases its caller, which may read telemetry() right away.
+    s.tasks.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t t0 = detail::monotonic_ns();
     task();
     s.busy_ns.fetch_add(detail::monotonic_ns() - t0,
                         std::memory_order_relaxed);
-    s.tasks.fetch_add(1, std::memory_order_relaxed);
   } else {
     task();
   }

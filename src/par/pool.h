@@ -18,6 +18,11 @@
 // (par/montecarlo.h derives them from the trial count alone), so the
 // schedule — which thread runs which chunk, and in what order — is
 // invisible to the output.
+//
+// Telemetry: behind set_telemetry_enabled, every lane counts tasks,
+// steals and busy/parked time (PoolTelemetry). The pool keeps no
+// per-chunk record: the "mc.chunk" / "mc.map" spans that
+// par/montecarlo.h opens around each chunk count and time chunks.
 #pragma once
 
 #include <atomic>
@@ -63,29 +68,18 @@ struct PoolTelemetry {
   double imbalance() const;
 };
 
-/// Process-wide switch for pool + chunk telemetry. Off by default: the
+/// Process-wide switch for pool telemetry. Off by default: the
 /// instrumented paths then pay one relaxed atomic load and a branch per
 /// task (no clock reads). bench_util arms it behind --json/--profile.
 bool telemetry_enabled() noexcept;
 void set_telemetry_enabled(bool on) noexcept;
 
-/// Aggregate per-chunk wall times recorded by par::sweep/montecarlo/map
-/// while telemetry is enabled (process-wide, across every pool).
-struct ChunkStats {
-  std::uint64_t chunks = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t max_ns = 0;
-};
-ChunkStats chunk_stats() noexcept;
-void reset_chunk_stats() noexcept;
-
-/// Publishes pool + chunk telemetry into `registry` under par.*:
-/// counters par.tasks / par.steal_attempts / par.steal_successes /
-/// par.help_iterations / par.chunks, gauges par.lanes / par.busy_s /
-/// par.park_s / par.utilization / par.imbalance / par.chunk_mean_s /
-/// par.chunk_max_s. Fixed creation order.
+/// Publishes pool telemetry into `registry` under par.*: counters
+/// par.tasks / par.steal_attempts / par.steal_successes /
+/// par.help_iterations, gauges par.lanes / par.busy_s / par.park_s /
+/// par.utilization / par.imbalance. Fixed creation order.
 void publish_telemetry(obs::Registry& registry, const PoolTelemetry& pool,
-                       const ChunkStats& chunks, double wall_s);
+                       double wall_s);
 
 /// Lockstep-epoch telemetry. A conservative-time driver (the netsim
 /// border exchange) calls `record_round` as each round closes, with the
@@ -123,8 +117,6 @@ void publish_epoch_stats(obs::Registry& registry, const EpochStats& stats,
 namespace detail {
 /// steady_clock in integer nanoseconds (telemetry timestamps).
 std::uint64_t monotonic_ns() noexcept;
-/// Folds one chunk wall time into the process-wide ChunkStats.
-void record_chunk_ns(std::uint64_t ns) noexcept;
 }  // namespace detail
 
 /// Work-stealing pool of `jobs` execution lanes (the caller of

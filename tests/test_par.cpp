@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -111,6 +112,57 @@ TEST(Montecarlo, FloatSumBitwiseIdenticalAcrossThreadCounts) {
   const double serial = run(1);
   EXPECT_EQ(serial, run(2));
   EXPECT_EQ(serial, run(8));
+}
+
+// The shared chunk loop: a batched run and a multi-point sweep must
+// reproduce montecarlo() bitwise. The float sum is order-sensitive, so
+// any change to group boundaries, trial seeds, trial order or chunk
+// merge order shows. Batching rounds the chunk up to a multiple of the
+// group size, so the scalar reference runs at that rounded chunk.
+TEST(Montecarlo, BatchedAndSweepMatchScalarBitwise) {
+  constexpr std::size_t kTrials = 101;
+  auto draw = [](Rng& rng) {
+    const double g = rng.gaussian();
+    return g * rng.uniform(0.1, 10.0);
+  };
+  auto trial = [&](std::uint64_t, std::size_t, Rng& rng, double& acc) {
+    acc += draw(rng);
+  };
+  auto merge = [](double& acc, const double& part) { acc += part; };
+  for (const unsigned jobs : {1u, 4u}) {
+    for (const std::size_t chunk : {std::size_t{0}, std::size_t{5},
+                                    std::size_t{7}}) {
+      par::SweepOptions opt;
+      opt.root_seed = 1234;
+      opt.jobs = jobs;
+      opt.chunk = chunk;
+      for (const std::size_t batch : {1u, 3u, 8u, 16u}) {
+        const std::size_t chunk0 =
+            chunk ? chunk : par::detail::auto_chunk(kTrials);
+        par::SweepOptions scalar_opt = opt;
+        scalar_opt.chunk = (chunk0 + batch - 1) / batch * batch;
+        const double scalar =
+            par::montecarlo<double>(kTrials, 2, scalar_opt, trial, merge);
+        const double batched = par::montecarlo_batched<double>(
+            kTrials, 2, batch, opt,
+            [&](std::uint64_t, std::size_t, std::span<Rng> rngs,
+                double& acc) {
+              for (Rng& rng : rngs) acc += draw(rng);
+            },
+            merge);
+        EXPECT_EQ(scalar, batched)
+            << "jobs " << jobs << " chunk " << chunk << " batch " << batch;
+      }
+      const std::vector<double> swept =
+          par::sweep<double>(3, kTrials, opt, trial, merge);
+      ASSERT_EQ(swept.size(), 3u);
+      for (std::uint64_t p = 0; p < 3; ++p) {
+        EXPECT_EQ(swept[p], par::montecarlo<double>(kTrials, p, opt, trial,
+                                                    merge))
+            << "jobs " << jobs << " chunk " << chunk << " point " << p;
+      }
+    }
+  }
 }
 
 // A C7-style coded-BER sweep (convolutional vs LDPC over AWGN) — the

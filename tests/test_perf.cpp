@@ -248,11 +248,13 @@ TEST(SpanProfile, ChunkSpansGraftUnderCallerPath) {
   EXPECT_EQ(rows.at("outer;mc.chunk;trial").calls, 16u);
 }
 
-// par::map opens "mc.map" spans and counts one chunk per item.
-TEST(PoolTelemetry, CountersReconcileWithChunkStats) {
+// The "mc.chunk" spans are the chunk instrument: one span per chunk,
+// reconciled against the pool's task counter (one task per chunk).
+TEST(PoolTelemetry, CountersReconcileWithChunkSpans) {
   PerfGuard guard;
+  SpanProfile profile;
+  obs::perf::enable_span_profiling(profile);
   par::set_telemetry_enabled(true);
-  par::reset_chunk_stats();
   par::default_pool().reset_telemetry();
 
   par::SweepOptions opt;
@@ -262,11 +264,9 @@ TEST(PoolTelemetry, CountersReconcileWithChunkStats) {
       [](std::uint64_t, std::size_t, Rng&, double& acc) { acc += 1.0; },
       [](double& acc, const double& part) { acc += part; });
   EXPECT_DOUBLE_EQ(total, 40.0);
+  obs::perf::disable_span_profiling();
 
-  const par::ChunkStats chunks = par::chunk_stats();
-  EXPECT_EQ(chunks.chunks, 8u);  // 40 trials / 5 per chunk
-  EXPECT_GE(chunks.total_ns, chunks.max_ns);
-  EXPECT_GT(chunks.max_ns, 0u);
+  EXPECT_EQ(profile.leaf_stats("mc.chunk").calls, 8u);  // 40 trials / 5
 
   // Every chunk ran as exactly one pool task (parallel_for chunk == 1),
   // on a worker lane or the external-caller lane.
@@ -298,14 +298,12 @@ TEST(PoolTelemetry, PublishCreatesParInstruments) {
   t.lanes[0].tasks = 3;
   t.lanes[1].tasks = 5;
   t.lanes[0].busy_ns = 400;
-  par::ChunkStats chunks{8, 1000, 300};
   obs::Registry registry;
-  par::publish_telemetry(registry, t, chunks, 2.0);
+  par::publish_telemetry(registry, t, 2.0);
   const std::string json = registry.snapshot_json();
   EXPECT_NE(json.find("par.tasks"), std::string::npos);
   EXPECT_NE(json.find("par.utilization"), std::string::npos);
   EXPECT_NE(json.find("par.imbalance"), std::string::npos);
-  EXPECT_NE(json.find("par.chunk_max_s"), std::string::npos);
   const obs::JsonValue doc = obs::JsonValue::parse(json);
   (void)doc;
 }
